@@ -118,7 +118,7 @@ fn main() {
     let mut total_back = 0u64;
     for channels in CHANNEL_COUNTS {
         // Fresh dials per round: the echo path is about the round trip,
-        // not pooling (blast_throughput covers warm reuse).
+        // not pooling.
         let mut lanes = Vec::new();
         for chan in 0..channels {
             let t = TcpTransport::connect(addr).expect("dial relay");

@@ -1,7 +1,9 @@
 //! # flashflow-bench
 //!
 //! The experiment harness: one binary per table and figure of the paper
-//! (see DESIGN.md §3 for the index), plus Criterion micro-benchmarks.
+//! (`src/bin/figNN_*` for Figure NN, `tabNN_*` for Table NN, `exp_*`
+//! for in-text experiments), plus std-timing micro-benchmarks under
+//! `benches/` (Criterion is unavailable offline).
 //! Each binary prints the same rows/series the paper reports, with the
 //! paper's published values alongside for comparison, and is
 //! deterministic given its default seed.

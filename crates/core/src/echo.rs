@@ -5,11 +5,10 @@
 //! verified bytes back while admitting (capped) client traffic
 //! alongside.
 //!
-//! The control plane is unchanged — one [`CoordinatorSession`] per peer
-//! over pooled TCP connections — but unlike the PR-4 topology the
-//! coordinator runs **no data channels of its own**: the measurement
-//! bytes flow measurer → relay → measurer, and the coordinator's
-//! cross-checks are structural instead of counted. Each `MeasureCmd`
+//! The control plane is one [`CoordinatorSession`] per peer over pooled
+//! TCP connections; the coordinator runs **no data channels of its
+//! own**: the measurement bytes flow measurer → relay → measurer, and
+//! the coordinator's cross-checks are structural instead of counted. Each `MeasureCmd`
 //! carries the relay's data endpoint and a per-item measurement secret;
 //! measurers derive the public hello binding nonce and the secret frame
 //! tag key from it, the relay accepts exactly that nonce, and the
@@ -35,7 +34,7 @@ use flashflow_simnet::time::{SimDuration, SimTime};
 use flashflow_proto::transport::{Duplex, Transport};
 
 use crate::engine::{EngineEvent, EngineSnapshot, MeasurementEngine};
-use crate::pool::{ChannelKind, ConnectionPool, ReuseHandle};
+use crate::pool::{ConnectionPool, ReuseHandle};
 use crate::shard::GroupRunner;
 
 /// One measurer process the deployment commands.
@@ -159,7 +158,7 @@ fn checkout_or_dead(
     pool: &ConnectionPool,
     addr: SocketAddr,
 ) -> (Box<dyn Transport>, Option<ReuseHandle>) {
-    match pool.checkout(addr, ChannelKind::Control) {
+    match pool.checkout(addr) {
         Ok(conn) => {
             let handle = conn.reuse_handle();
             (Box::new(conn) as Box<dyn Transport>, Some(handle))

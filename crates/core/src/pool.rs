@@ -10,12 +10,11 @@
 //! cleanly, and the connection parks itself back in the pool when the
 //! engine drops it.
 //!
-//! Reuse is safe because both ends agree on it: the serving measurer
+//! Reuse is safe because both ends agree on it: the serving peer
 //! process loops sessions on one connection (each new `Auth` starts a
 //! fresh [`MeasurerSession`](flashflow_proto::session::MeasurerSession)
-//! with the shared replay window), and data channels re-bind with a new
-//! [`DataChannelHello`](flashflow_proto::blast::DataChannelHello). The
-//! coordinator side defers the endpoint's terminal hang-up exactly like
+//! with the shared replay window). The coordinator side defers the
+//! endpoint's terminal hang-up exactly like
 //! [`LeasedTransport`](flashflow_proto::transport::LeasedTransport): a
 //! [`PooledConn`]'s `close` is recorded, not executed, and the *driver*
 //! decides at return time — a connection whose session did not end
@@ -54,19 +53,6 @@ pub const DEFAULT_IDLE_PROBE_AGE: Duration = Duration::from_secs(30);
 /// is not a peer a fresh measurement item should be handed.
 pub const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// What a pooled connection is used for. A serving measurer process
-/// classifies each accepted connection **once** — control frames or
-/// blast data — so the pool must never hand a parked data connection
-/// out as a control channel (or vice versa); the idle map is keyed by
-/// `(address, kind)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelKind {
-    /// A framed control conversation.
-    Control,
-    /// A blast data channel.
-    Data,
-}
-
 /// A connection waiting in the pool, stamped with when it was parked so
 /// checkout can tell a warm handoff from one that idled across a period
 /// gap.
@@ -76,7 +62,7 @@ struct Parked {
 }
 
 struct PoolShared {
-    idle: Mutex<HashMap<(SocketAddr, ChannelKind), Vec<Parked>>>,
+    idle: Mutex<HashMap<SocketAddr, Vec<Parked>>>,
     idle_probe_age: Duration,
     dials: AtomicU64,
     reuses: AtomicU64,
@@ -99,7 +85,7 @@ impl Default for PoolShared {
     }
 }
 
-/// Runs one keepalive probe over a parked **control** connection: send
+/// Runs one keepalive probe over a parked control connection: send
 /// `Ping`, wait (bounded) for the matching `Pong`. The serving process
 /// answers from its parked `AwaitAuth` session, so a positive answer
 /// proves the whole path — socket, process, session loop — is alive,
@@ -150,10 +136,9 @@ impl ConnectionPool {
     /// process's parked session must answer within [`PROBE_TIMEOUT`] —
     /// a peer that died without saying goodbye fails it now, at
     /// checkout, where discard-and-redial is cheap, instead of
-    /// mid-handshake inside an engine. Idle *data* connections (no
-    /// session on the far end to answer) are simply redialed past the
-    /// age. Defaults to [`DEFAULT_IDLE_PROBE_AGE`]; [`Duration::ZERO`]
-    /// probes every parked checkout.
+    /// mid-handshake inside an engine. Defaults to
+    /// [`DEFAULT_IDLE_PROBE_AGE`]; [`Duration::ZERO`] probes every parked
+    /// checkout.
     #[must_use]
     pub fn with_idle_probe_age(self, age: Duration) -> Self {
         // The shared state is fresh (builder-style, pre-clone): there
@@ -163,18 +148,17 @@ impl ConnectionPool {
         ConnectionPool { shared: Arc::new(shared) }
     }
 
-    /// Checks a `kind` connection to `addr` out: a parked warm one when
+    /// Checks a control connection to `addr` out: a parked warm one when
     /// available (stale ones — peer hung up while parked — are
     /// discarded on the spot; ones idle past the probe age are
     /// keepalive-probed first), a fresh dial otherwise.
     ///
     /// # Errors
     /// Propagates the dial failure.
-    pub fn checkout(&self, addr: SocketAddr, kind: ChannelKind) -> std::io::Result<PooledConn> {
-        let key = (addr, kind);
+    pub fn checkout(&self, addr: SocketAddr) -> std::io::Result<PooledConn> {
         loop {
             let parked =
-                self.shared.idle.lock().expect("pool lock").get_mut(&key).and_then(Vec::pop);
+                self.shared.idle.lock().expect("pool lock").get_mut(&addr).and_then(Vec::pop);
             let Some(Parked { mut transport, parked_at }) = parked else { break };
             // A parked connection can rot: the process exited, or sent
             // bytes we never asked for. Either disqualifies it.
@@ -187,36 +171,26 @@ impl ConnectionPool {
             // mapping expired) looks perfectly quiet locally; only a
             // `Ping` answered by the serving process's parked session
             // proves the connection can still carry a conversation.
-            // Data-kind connections have no control session on the
-            // other end to answer, so for them age past the threshold
-            // is itself the verdict: redial rather than trust.
             if parked_at.elapsed() >= self.shared.idle_probe_age {
-                let alive = if kind == ChannelKind::Control {
-                    self.shared.probes.fetch_add(1, Ordering::Relaxed);
-                    let probe = self.shared.probe_seq.fetch_add(1, Ordering::Relaxed) ^ 0x50B0_BE4C;
-                    ping_probe(&mut transport, probe)
-                } else {
-                    // No session on the far end to answer a ping: age
-                    // past the threshold is itself the verdict.
-                    false
-                };
-                if !alive {
+                self.shared.probes.fetch_add(1, Ordering::Relaxed);
+                let probe = self.shared.probe_seq.fetch_add(1, Ordering::Relaxed) ^ 0x50B0_BE4C;
+                if !ping_probe(&mut transport, probe) {
                     self.shared.discarded.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
             }
             self.shared.reuses.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.wrap(key, transport));
+            return Ok(self.wrap(addr, transport));
         }
         let transport = TcpTransport::connect(addr)?;
         self.shared.dials.fetch_add(1, Ordering::Relaxed);
-        Ok(self.wrap(key, transport))
+        Ok(self.wrap(addr, transport))
     }
 
-    fn wrap(&self, key: (SocketAddr, ChannelKind), transport: TcpTransport) -> PooledConn {
+    fn wrap(&self, addr: SocketAddr, transport: TcpTransport) -> PooledConn {
         PooledConn {
             inner: Some(transport),
-            key,
+            addr,
             shared: Arc::clone(&self.shared),
             reuse: Arc::new(AtomicBool::new(false)),
         }
@@ -291,7 +265,7 @@ impl ReuseHandle {
 }
 
 /// One checked-out pool connection, usable anywhere a
-/// [`Transport`] is (engine control channels, blast data channels).
+/// [`Transport`] is (engine control channels).
 ///
 /// `close` is deferred (recorded, not executed) so the engine's
 /// terminal hang-up cannot destroy a connection the driver wants back.
@@ -301,7 +275,7 @@ impl ReuseHandle {
 /// closes.
 pub struct PooledConn {
     inner: Option<TcpTransport>,
-    key: (SocketAddr, ChannelKind),
+    addr: SocketAddr,
     shared: Arc<PoolShared>,
     reuse: Arc<AtomicBool>,
 }
@@ -358,7 +332,7 @@ impl Drop for PooledConn {
                 .idle
                 .lock()
                 .expect("pool lock")
-                .entry(self.key)
+                .entry(self.addr)
                 .or_default()
                 .push(Parked { transport, parked_at: Instant::now() });
         } else {
@@ -400,7 +374,7 @@ mod tests {
 
         let pool = ConnectionPool::new();
         {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+            let conn = pool.checkout(addr).expect("dial");
             let mut conn = conn;
             conn.send(SimTime::ZERO, b"first").unwrap();
             conn.reuse_handle().approve();
@@ -409,7 +383,7 @@ mod tests {
         }
         assert_eq!((pool.dials(), pool.reuses(), pool.idle_count()), (1, 0, 1));
         {
-            let mut conn = pool.checkout(addr, ChannelKind::Control).expect("reuse");
+            let mut conn = pool.checkout(addr).expect("reuse");
             conn.send(SimTime::ZERO, b"again").unwrap();
             // Not approved this time: really closed on drop.
         }
@@ -421,7 +395,7 @@ mod tests {
     fn unapproved_or_dirty_connections_never_park() {
         let (listener, addr) = echo_listener();
         let pool = ConnectionPool::new();
-        let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+        let conn = pool.checkout(addr).expect("dial");
         let _accepted = listener.accept().expect("accept");
         drop(conn); // never approved
         assert_eq!(pool.idle_count(), 0);
@@ -466,7 +440,7 @@ mod tests {
         // Probe age zero: every parked checkout is probed.
         let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
         {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+            let conn = pool.checkout(addr).expect("dial");
             let _accepted = listener.accept().expect("accept");
             conn.reuse_handle().approve();
             drop(conn);
@@ -475,7 +449,7 @@ mod tests {
         }
         assert_eq!(pool.idle_count(), 1);
         std::thread::sleep(Duration::from_millis(20));
-        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial after probe discard");
+        let conn2 = pool.checkout(addr).expect("redial after probe discard");
         let _accepted2 = listener.accept().expect("accept fresh");
         assert_eq!(pool.dials(), 2, "dead parked connection was redialed, not handed out");
         assert_eq!(pool.reuses(), 0);
@@ -489,11 +463,11 @@ mod tests {
         let server = pong_server(listener);
         let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
         {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial healthy");
+            let conn = pool.checkout(addr).expect("dial healthy");
             conn.reuse_handle().approve();
         }
         let probes_before = pool.probes();
-        let reused = pool.checkout(addr, ChannelKind::Control).expect("probed reuse");
+        let reused = pool.checkout(addr).expect("probed reuse");
         assert!(pool.probes() > probes_before, "idle checkout was probed");
         assert_eq!(pool.reuses(), 1, "healthy probed connection handed back out");
         assert_eq!(pool.dials(), 1, "no redial needed");
@@ -511,13 +485,13 @@ mod tests {
         let (listener, addr) = echo_listener();
         let pool = ConnectionPool::new().with_idle_probe_age(Duration::ZERO);
         {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+            let conn = pool.checkout(addr).expect("dial");
             conn.reuse_handle().approve();
         }
         let (_mute, _) = listener.accept().expect("accept");
         assert_eq!(pool.idle_count(), 1);
         let t0 = Instant::now();
-        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial after mute peer");
+        let conn2 = pool.checkout(addr).expect("redial after mute peer");
         let _accepted2 = listener.accept().expect("accept fresh");
         assert!(t0.elapsed() >= PROBE_TIMEOUT, "probe waited out its timeout");
         assert_eq!(pool.dials(), 2, "mute peer's connection was not reused");
@@ -531,11 +505,11 @@ mod tests {
         // A generous probe age: a connection parked moments ago is
         // trusted without the extra probe.
         let pool = ConnectionPool::new().with_idle_probe_age(Duration::from_secs(3600));
-        let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+        let conn = pool.checkout(addr).expect("dial");
         let _accepted = listener.accept().expect("accept");
         conn.reuse_handle().approve();
         drop(conn);
-        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("warm reuse");
+        let conn2 = pool.checkout(addr).expect("warm reuse");
         assert_eq!(pool.probes(), 0, "young parked connection not probed");
         assert_eq!((pool.dials(), pool.reuses()), (1, 1));
         drop(conn2);
@@ -546,7 +520,7 @@ mod tests {
         let (listener, addr) = echo_listener();
         let pool = ConnectionPool::new();
         {
-            let conn = pool.checkout(addr, ChannelKind::Control).expect("dial");
+            let conn = pool.checkout(addr).expect("dial");
             let _accepted = listener.accept().expect("accept");
             conn.reuse_handle().approve();
             drop(conn);
@@ -556,7 +530,7 @@ mod tests {
         assert_eq!(pool.idle_count(), 1);
         // Give the FIN a moment to land.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let conn2 = pool.checkout(addr, ChannelKind::Control).expect("redial after stale discard");
+        let conn2 = pool.checkout(addr).expect("redial after stale discard");
         let _accepted2 = listener.accept().expect("accept fresh");
         assert_eq!(pool.dials(), 2, "stale connection was not handed back out");
         assert_eq!(pool.reuses(), 0);

@@ -1,55 +1,33 @@
-//! `flashflow-measurer` — a standalone measurer (or reporting-target)
-//! process.
+//! `flashflow-measurer` — a standalone measurer process.
 //!
-//! This is the peer side of the paper's deployment topology (§4.1, §7):
-//! a long-lived process on a measurement host that listens on TCP,
-//! classifies each accepted connection as **control** (the framed
-//! session protocol) or **data** (a blast channel opening with a
-//! [`DataChannelHello`](flashflow_proto::blast::DataChannelHello)), and
-//! serves both concurrently.
+//! This is the measurer corner of the paper's deployment topology
+//! (§4.1, §7): a long-lived process on a measurement host that listens
+//! on TCP for the coordinator's control connections and, when a slot
+//! starts, blasts the target relay itself.
 //!
-//! Serving is **reactor-driven**: every accepted connection becomes a
-//! state machine (see the `reactor` module) driven by a shard of a
-//! shared epoll event loop (`flashflow-procutil`'s `reactor`), so
-//! thousands of channels share `--io-threads` threads instead of one
-//! thread each:
+//! Serving is **reactor-driven** on the peer scaffold the relay shares
+//! (`flashflow_procutil::peer`): every accepted connection becomes a
+//! state machine driven by a shard of a shared epoll event loop, so
+//! thousands of connections share `--io-threads` threads instead of one
+//! thread each. Control connections run `MeasurerSession`s — and keep
+//! running them: after a conversation ends cleanly the process waits
+//! for the next `Auth` on the *same* connection, which is what lets a
+//! coordinator-side connection pool reuse warm connections across
+//! measurement items instead of dialing fresh per item. A connection
+//! that opens with a `DataChannelHello` is refused and closed at once:
+//! data channels run measurer → relay, never into a measurer.
 //!
-//! * Control connections run `MeasurerSession`s — and keep running
-//!   them: after a conversation ends cleanly the process waits for the
-//!   next `Auth` on the *same* connection, which is what lets a
-//!   coordinator-side connection pool reuse warm connections across
-//!   measurement items instead of dialing fresh per item.
-//! * Data connections must present a hello binding them
-//!   to a control session's accepted `Auth` nonce. Blast payloads are
-//!   verified against the nonce-derived pattern keystream and counted
-//!   (received and corrupt bytes) into per-session counters.
+//! **The data plane** (the [`Measurer`] role hooks): each `MeasureCmd`
+//! carries the target relay's data endpoint and a per-item measurement
+//! secret. At `Go` this measurer dials `sockets` echo channels to the
+//! relay, blasts pattern-stamped frames bound to the secret (public
+//! binding nonce in the hello, secret-keyed integrity tag on every
+//! frame), verifies the relay's echo stream, and reports the **verified
+//! echoed bytes** per second. See the `flashflow-relay` crate for the
+//! serving side.
 //!
-//! With the default `--report counters`, a measurer-role session's
-//! `SecondReport`s are **derived from those counters** — the bytes that
-//! actually arrived on its data channels that second — not asserted.
-//! `--report scripted` keeps the old fixed-rate behavior for harnesses
-//! that need exact numbers; target-role sessions always report their
-//! configured `--bg` (there is no client-traffic source here to count).
-//!
-//! **Echo topology** (the paper's full shape): when a `MeasureCmd`
-//! carries a target endpoint, this measurer *initiates* the data plane
-//! instead of sinking it — at `Go` it dials `sockets` echo channels to
-//! the target relay's listener, blasts pattern-stamped frames bound to
-//! the command's measurement secret (public binding nonce in the
-//! hello, secret-keyed integrity tag on every frame), verifies the
-//! relay's echo stream, and reports the **verified echoed bytes** per
-//! second. See the `flashflow-relay` crate for the serving side.
-//!
-//! Liveness at the edges (half-open connections must not hold
-//! resources):
-//!
-//! * a connection that says nothing at all is dropped at the
-//!   classification deadline (pre-`Auth` silence);
-//! * a data connection that dials but never completes its hello — or
-//!   presents a nonce no authenticated control session ever accepted —
-//!   is dropped at the same deadline, so a half-open data dial between
-//!   `AuthOk` and the first `DataChannelHello` cannot pin a slot
-//!   forever (it used to be only the control side that was bounded).
+//! Liveness at the edges: a connection that says nothing at all is
+//! dropped at the classification deadline (pre-`Auth` silence).
 //!
 //! Operator tooling: `--config FILE` loads `key=value` lines (same keys
 //! as the flags, `#` comments); later command-line flags override the
@@ -62,21 +40,18 @@
 //! [`ReplayWindow`]. Each session starts from a clone of it, and the
 //! moment a session accepts an `Auth` nonce it *claims* it in the
 //! shared window under the lock — of two concurrent connections
-//! replaying one opener, exactly one wins. The same claim registers the
-//! nonce with the data plane, so a hello arriving right after `AuthOk`
-//! always finds its session.
+//! replaying one opener, exactly one wins.
 //!
 //! **Observability**: process logging goes through one `flashflow-obs`
-//! [`EventSink`] — human text on stderr by default, and with
+//! event sink — human text on stderr by default, and with
 //! `--log-json FILE` the same structured events as JSONL (line-atomic
-//! under concurrent session threads). `--metrics-addr ADDR` serves
-//! token-gated [`MetricsRegistry`] snapshots (blast/echo byte counters)
+//! under concurrent shards). `--metrics-addr ADDR` serves token-gated
+//! [`MetricsRegistry`] snapshots (echo byte counters, reactor runtime)
 //! over TCP; see `flashflow-top` for the consumer side.
 //!
 //! ```text
-//! flashflow-measurer [--config FILE] [--listen ADDR] [--role measurer|target]
-//!     [--report counters|scripted] [--token-hex HEX64] [--rate BYTES]
-//!     [--bg BYTES] [--speedup X] [--sessions N] [--io-threads N]
+//! flashflow-measurer [--config FILE] [--listen ADDR] [--role measurer]
+//!     [--token-hex HEX64] [--speedup X] [--sessions N] [--io-threads N]
 //!     [--log-json FILE] [--metrics-addr ADDR]
 //! ```
 //!
@@ -87,208 +62,50 @@
 //! completing N control conversations (the multi-process harness uses
 //! this); without it, it serves until SIGTERM.
 
-mod reactor;
+use std::sync::Arc;
+use std::time::Instant;
 
-use std::collections::HashMap;
-use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
+use flashflow_obs::{fields, MetricsRegistry, Span};
 use flashflow_procutil as procutil;
-use procutil::reactor::{Reactor, ReactorConfig, ReactorObs};
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
-
-use flashflow_obs::{fields, Counter, EventSink, MetricsRegistry, Span};
 use flashflow_proto::blast::{
-    binding_nonce, secret_channel_key, BlastCounters, BlastParser, ReportSource, TrafficSource,
+    binding_nonce, secret_channel_key, BlastCounters, BlastParser, TrafficSource,
 };
-use flashflow_proto::msg::{PeerRole, AUTH_TOKEN_LEN};
-use flashflow_proto::session::ReplayWindow;
+use flashflow_proto::msg::{MeasureSpec, PeerRole, AUTH_TOKEN_LEN};
+use flashflow_proto::session::{MeasurerSession, ReplayWindow, SessionTimeouts};
 use flashflow_proto::tcp::TcpTransport;
+use flashflow_proto::transport::Transport;
 use flashflow_simnet::time::SimTime;
-
-/// Parsed configuration (command line and/or `--config` file).
-#[derive(Debug, Clone)]
-struct Config {
-    listen: String,
-    role: PeerRole,
-    token: [u8; AUTH_TOKEN_LEN],
-    /// Whether a token was given explicitly. The built-in default token
-    /// is public knowledge (it is in the source), so it is only
-    /// acceptable on loopback; a non-loopback listener must be given a
-    /// real secret.
-    token_explicit: bool,
-    /// Where measurer-role `SecondReport`s come from.
-    report: ReportSource,
-    /// Scripted measurer rate; `None` follows the commanded `rate_cap`.
-    rate: Option<u64>,
-    /// Target role: per-second background bytes (always scripted).
-    bg: u64,
-    /// Report pacing multiplier (50 = a "second" every 20 ms). The
-    /// coordinator's clock does not speed up with the peer unless it
-    /// runs the same multiplier, so either match the speedup on both
-    /// sides or raise the coordinator's report-ahead cap.
-    speedup: f64,
-    /// Exit after completing this many control conversations; `None`
-    /// serves until SIGTERM.
-    sessions: Option<u64>,
-    /// Reactor shard threads serving every connection.
-    io_threads: usize,
-    /// Mirror the structured event stream to this file as JSONL.
-    log_json: Option<String>,
-    /// Serve token-gated metric snapshots on this TCP address.
-    metrics_addr: Option<String>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            listen: "127.0.0.1:0".to_string(),
-            role: PeerRole::Measurer,
-            token: [0x42; AUTH_TOKEN_LEN],
-            token_explicit: false,
-            report: ReportSource::Counters,
-            rate: None,
-            bg: 0,
-            speedup: 1.0,
-            sessions: None,
-            io_threads: 4,
-            log_json: None,
-            metrics_addr: None,
-        }
-    }
-}
-
-impl Config {
-    /// The identification window for fresh connections (shared
-    /// scaffolding, scaled by `--speedup`).
-    fn hello_window(&self) -> Duration {
-        procutil::hello_window(self.speedup)
-    }
-}
+use procutil::peer::{NoData, PeerConfig, Role, Serving};
 
 const USAGE: &str = "usage: flashflow-measurer [--config FILE] [--listen ADDR] \
-                     [--role measurer|target] [--report counters|scripted] \
-                     [--token-hex HEX64] [--rate BYTES] [--bg BYTES] [--speedup X] \
+                     [--role measurer] [--token-hex HEX64] [--speedup X] \
                      [--sessions N] [--io-threads N] [--log-json FILE] \
                      [--metrics-addr ADDR]";
 
 /// Applies one `key=value` setting. Shared by the command line (`--key
 /// value`) and the config file (`key=value`), so the two cannot drift.
-fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
-    match key {
-        "listen" => cfg.listen = value.to_string(),
-        "role" => {
-            cfg.role = match value {
-                "measurer" => PeerRole::Measurer,
-                "target" => PeerRole::Target,
-                other => return Err(format!("role: unknown role {other:?}")),
-            }
-        }
-        "report" => cfg.report = value.parse()?,
-        "token-hex" => {
-            cfg.token = procutil::parse_token_hex(value)?;
-            cfg.token_explicit = true;
-        }
-        "rate" => cfg.rate = Some(value.parse().map_err(|e| format!("rate: {e}"))?),
-        "bg" => cfg.bg = value.parse().map_err(|e| format!("bg: {e}"))?,
-        "speedup" => {
-            cfg.speedup = value.parse().map_err(|e| format!("speedup: {e}"))?;
-            if !(cfg.speedup.is_finite() && cfg.speedup > 0.0) {
-                return Err("speedup must be positive and finite".to_string());
-            }
-        }
-        "sessions" => cfg.sessions = Some(value.parse().map_err(|e| format!("sessions: {e}"))?),
-        "io-threads" => {
-            cfg.io_threads = value.parse().map_err(|e| format!("io-threads: {e}"))?;
-            if cfg.io_threads == 0 {
-                return Err("io-threads must be at least 1".to_string());
-            }
-        }
-        "log-json" => cfg.log_json = Some(value.to_string()),
-        "metrics-addr" => cfg.metrics_addr = Some(value.to_string()),
-        other => return Err(format!("unknown setting {other:?}\n{USAGE}")),
+/// `role` accepts only `measurer`: the relay is its own binary.
+fn apply(cfg: &mut PeerConfig, key: &str, value: &str) -> Result<(), String> {
+    if cfg.apply(key, value)? {
+        return Ok(());
     }
-    Ok(())
+    match (key, value) {
+        ("role", "measurer") => Ok(()),
+        ("role", other) => Err(format!("role: unknown role {other:?}\n{USAGE}")),
+        (other, _) => Err(format!("unknown setting {other:?}\n{USAGE}")),
+    }
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
-    let mut cfg = Config::default();
+fn parse_args(args: impl Iterator<Item = String>) -> Result<PeerConfig, String> {
+    let mut cfg = PeerConfig::default();
     procutil::parse_args(args, USAGE, &mut |key, value| apply(&mut cfg, key, value))?;
     Ok(cfg)
 }
 
-/// Per-session data-plane counters, fed by however many data channels
-/// bound to the session's nonce.
-#[derive(Default)]
-struct SessionCounters {
-    received: AtomicU64,
-    corrupt: AtomicU64,
-    /// Bytes of frames the parser refused outright: failed integrity
-    /// tag (forged) or replayed sequence numbers. Never credited;
-    /// surfaced in the session's end-of-slot log line.
-    rejected: AtomicU64,
-    channels: AtomicU64,
-}
-
-/// The process-wide registry binding accepted `Auth` nonces to their
-/// counters. Control sessions register on claim and release at the end;
-/// data channels look their hello's nonce up here — a nonce that was
-/// never accepted by an authenticated session never binds a channel.
-#[derive(Default)]
-struct DataPlane {
-    sessions: Mutex<HashMap<u64, Arc<SessionCounters>>>,
-}
-
-impl DataPlane {
-    // Registry access recovers from poisoning (`lock_recover`): a
-    // serving thread that panicked mid-session must degrade to one
-    // lost session, not take down every other thread that touches the
-    // registry next.
-    fn register(&self, nonce: u64) -> Arc<SessionCounters> {
-        Arc::clone(procutil::lock_recover(&self.sessions).entry(nonce).or_default())
-    }
-
-    fn lookup(&self, nonce: u64) -> Option<Arc<SessionCounters>> {
-        procutil::lock_recover(&self.sessions).get(&nonce).map(Arc::clone)
-    }
-
-    fn release(&self, nonce: u64) {
-        procutil::lock_recover(&self.sessions).remove(&nonce);
-    }
-}
-
-/// Everything the serving threads share.
-struct Shared {
-    cfg: Config,
-    replay: Mutex<ReplayWindow>,
-    data: DataPlane,
-    /// Set when draining: no new conversations, finish in-flight slots.
-    draining: AtomicBool,
-    /// Control conversations completed (the `--sessions` quota).
-    sessions_done: AtomicU64,
-    /// Root span of the process's structured event stream.
-    span: Span,
-    /// Process-global counters fed by inbound blast channels (the
-    /// coordinator-blasted data plane; `--metrics-addr` snapshot).
-    blast: BlastCounters,
-    /// Process-global counters fed by echo-topology verify parsers
-    /// (bytes the target relay echoed back at this measurer).
+/// The measurer role: the counters its echo-verify parsers feed (bytes
+/// the target relay echoed back at this measurer).
+struct Measurer {
     echo_blast: BlastCounters,
-    /// Conversations re-adopted via the `Resume` handshake (a restarted
-    /// coordinator picking its parked sessions back up).
-    resumed: Counter,
-}
-
-impl Shared {
-    fn quota_reached(&self) -> bool {
-        self.cfg.sessions.is_some_and(|n| self.sessions_done.load(Ordering::SeqCst) >= n)
-    }
-
-    fn stop_serving(&self) -> bool {
-        self.draining.load(Ordering::SeqCst) || self.quota_reached()
-    }
 }
 
 /// One echo channel to the target relay: this measurer's blast source
@@ -306,51 +123,154 @@ impl EchoChannel {
     }
 }
 
-/// Dials the slot's echo channels to the target relay and starts their
-/// blasts (clocks run on the sped-up `now`). Channels that fail to dial
-/// are skipped — the slot degrades rather than wedging; the coordinator
-/// sees it in the reported rates.
-fn dial_echo_channels(
-    spec: &flashflow_proto::msg::MeasureSpec,
-    now: SimTime,
-    span: &Span,
-    shared: &Shared,
-) -> Vec<EchoChannel> {
-    let Some(addr) = spec.target.socket_addr() else { return Vec::new() };
-    let nonce = binding_nonce(spec.measurement_secret);
-    let key = secret_channel_key(spec.measurement_secret);
-    let n = spec.sockets.clamp(1, 16);
-    let mut channels = Vec::new();
-    for chan in 0..n {
-        let transport = match TcpTransport::connect(addr) {
-            Ok(t) => t,
-            Err(e) => {
-                span.channel(u64::from(chan)).emit(
-                    "echo.dial_failed",
-                    fields![addr = format!("{addr}"), error = format!("{e}")],
-                );
-                continue;
+/// One conversation's echo channels (dialed at `Go`, dropped at stop).
+#[derive(Default)]
+struct MeasurerConversation {
+    channels: Vec<EchoChannel>,
+    /// Verified echo already reported.
+    counted_through: u64,
+    /// Reused receive buffer for draining the echo channels' sockets.
+    rxbuf: Vec<u8>,
+}
+
+impl Measurer {
+    /// Dials the slot's echo channels to the target relay and starts
+    /// their blasts (clocks run on the sped-up `now`). Channels that fail
+    /// to dial are skipped — the slot degrades rather than wedging; the
+    /// coordinator sees it in the reported rates. A command without a
+    /// target dials nothing, and its seconds report zero.
+    fn dial_echo_channels(
+        &self,
+        spec: &MeasureSpec,
+        now: SimTime,
+        span: &Span,
+    ) -> Vec<EchoChannel> {
+        let Some(addr) = spec.target.socket_addr() else { return Vec::new() };
+        let nonce = binding_nonce(spec.measurement_secret);
+        let key = secret_channel_key(spec.measurement_secret);
+        let n = spec.sockets.clamp(1, 16);
+        let mut channels = Vec::new();
+        for chan in 0..n {
+            let transport = match TcpTransport::connect(addr) {
+                Ok(t) => t,
+                Err(e) => {
+                    span.channel(u64::from(chan)).emit(
+                        "echo.dial_failed",
+                        fields![addr = format!("{addr}"), error = format!("{e}")],
+                    );
+                    continue;
+                }
+            };
+            let mut source = TrafficSource::new(transport, nonce, chan).with_key(key);
+            if spec.rate_cap > 0 {
+                // Even split; the first channels absorb the remainder.
+                let cap = spec.rate_cap;
+                let share = cap / u64::from(n) + u64::from(u64::from(chan) < cap % u64::from(n));
+                source.set_rate_cap(share);
             }
-        };
-        let mut source = TrafficSource::new(transport, nonce, chan).with_key(key);
-        if spec.rate_cap > 0 {
-            // Even split; the first channels absorb the remainder.
-            let cap = spec.rate_cap;
-            let share = cap / u64::from(n) + u64::from(u64::from(chan) < cap % u64::from(n));
-            source.set_rate_cap(share);
+            source.greet(now);
+            source.start(now);
+            channels.push(EchoChannel {
+                source,
+                echo: BlastParser::new().with_key(key).with_counters(self.echo_blast.clone()),
+            });
         }
-        source.greet(now);
-        source.start(now);
-        channels.push(EchoChannel {
-            source,
-            echo: BlastParser::new().with_key(key).with_counters(shared.echo_blast.clone()),
-        });
+        span.emit(
+            "echo.channels",
+            fields![channels = channels.len(), addr = format!("{addr}"), cap = spec.rate_cap],
+        );
+        channels
     }
-    span.emit(
-        "echo.channels",
-        fields![channels = channels.len(), addr = format!("{addr}"), cap = spec.rate_cap],
-    );
-    channels
+}
+
+impl Role for Measurer {
+    type Session = MeasurerSession;
+    type Conversation = MeasurerConversation;
+    type Data = NoData;
+
+    fn session(
+        &self,
+        token: [u8; AUTH_TOKEN_LEN],
+        session_id: u64,
+        window: ReplayWindow,
+    ) -> MeasurerSession {
+        MeasurerSession::new(token, PeerRole::Measurer, session_id, SessionTimeouts::default())
+            .with_replay_window(window)
+    }
+
+    fn conversation(&self) -> MeasurerConversation {
+        MeasurerConversation::default()
+    }
+
+    fn start(
+        &self,
+        conv: &mut MeasurerConversation,
+        spec: &MeasureSpec,
+        snow: SimTime,
+        span: &Span,
+    ) {
+        conv.channels = self.dial_echo_channels(spec, snow, span);
+    }
+
+    fn stop(&self, conv: &mut MeasurerConversation, snow: SimTime, reported: u32, span: &Span) {
+        for ch in &mut conv.channels {
+            ch.source.stop(snow);
+        }
+        // Dropping the channels closes the dialed connections; the
+        // relay's echo side sees EOF.
+        conv.channels.clear();
+        span.emit("session.stop", fields![seconds = reported]);
+    }
+
+    /// Drives the echo channels: blast the pacing budget out and verify
+    /// whatever the relay has echoed back so far.
+    fn pump(&self, conv: &mut MeasurerConversation, snow: SimTime, terminal: bool, span: &Span) {
+        if conv.channels.is_empty() || terminal {
+            return;
+        }
+        for ch in &mut conv.channels {
+            ch.source.pump(snow);
+            // A recv error means the relay hung up; verified() keeps
+            // its total either way.
+            if let Ok(got) = ch.source.transport_mut().recv_into(snow, &mut conv.rxbuf) {
+                if got > 0 {
+                    if let Err(e) = ch.echo.push(&conv.rxbuf) {
+                        span.emit("echo.stream_broke", fields![error = format!("{e}")]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The verified bytes the relay echoed back across this session's
+    /// channels since the previous report.
+    fn report(&self, conv: &mut MeasurerConversation, _second: u32, _span: &Span) -> (u64, u64) {
+        let through: u64 = conv.channels.iter().map(EchoChannel::verified).sum();
+        let delta = through - conv.counted_through;
+        conv.counted_through = through;
+        (0, delta)
+    }
+
+    fn backlog(&self, conv: &mut MeasurerConversation) -> bool {
+        conv.channels.iter_mut().any(|ch| ch.source.transport_mut().backlog() > 0)
+    }
+
+    fn finish(&self, conv: &mut MeasurerConversation) {
+        conv.channels.clear();
+    }
+
+    /// Data channels run measurer → relay; a hello dialed at a measurer
+    /// is refused on the spot.
+    fn open_data(
+        shared: &Arc<Serving<Measurer>>,
+        conn_id: u64,
+        _transport: TcpTransport,
+        _preread: Vec<u8>,
+        _deadline: Instant,
+    ) -> Option<NoData> {
+        shared.span.channel(conn_id).event("channel.refused");
+        None
+    }
 }
 
 fn main() {
@@ -361,133 +281,39 @@ fn main() {
             std::process::exit(2);
         }
     };
-    procutil::install_sigterm_handler();
-    // SO_REUSEADDR: a replacement measurer must re-take its configured
-    // port while the killed incarnation's connections sit in TIME_WAIT.
-    let listener = match procutil::listen_reuseaddr(&*cfg.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bind {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("query bound address for {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    if !addr.ip().is_loopback() && !cfg.token_explicit {
-        eprintln!(
-            "refusing to serve {addr} with the built-in default token; \
-             pass --token-hex with a real pre-shared secret"
-        );
-        std::process::exit(2);
-    }
-    let mut sink = EventSink::new().with_stderr_text();
-    if let Some(path) = &cfg.log_json {
-        // Opened with the shared journal discipline (O_APPEND, one
-        // write per line): a crash tears at most the final line.
-        sink = match procutil::journal_writer(std::path::Path::new(path)) {
-            Ok(file) => sink.with_jsonl(Box::new(file)),
-            Err(e) => {
-                eprintln!("open --log-json {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-    }
-    let span = Span::root(sink);
-    let registry = MetricsRegistry::new();
-    let mut metrics_line = None;
-    if let Some(maddr) = &cfg.metrics_addr {
-        match procutil::start_metrics_endpoint(maddr, cfg.token, registry.clone(), cfg.speedup) {
-            Ok(bound) => metrics_line = Some(format!("metrics {bound}")),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // The machine-readable stdout lines: the advertised endpoints. A
-    // failed flush means whoever spawned us cannot learn the bound
-    // address — serving anyway would wedge the parent, so exit instead.
-    println!("listening {addr}");
-    if let Some(line) = metrics_line {
-        println!("{line}");
-    }
-    if let Err(e) = std::io::stdout().flush() {
-        eprintln!("flush advertised endpoints to stdout: {e}");
-        std::process::exit(1);
-    }
-    span.emit(
-        "measurer.start",
-        fields![
-            role = format!("{:?}", cfg.role),
-            report = format!("{:?}", cfg.report),
-            speedup = cfg.speedup,
-        ],
-    );
-
-    let shared = Arc::new(Shared {
-        cfg,
-        replay: Mutex::new(ReplayWindow::default()),
-        data: DataPlane::default(),
-        draining: AtomicBool::new(false),
-        sessions_done: AtomicU64::new(0),
-        span,
-        blast: BlastCounters {
-            verified: registry.counter("measurer.blast.verified_bytes"),
-            corrupt: registry.counter("measurer.blast.corrupt_bytes"),
-            forged: registry.counter("measurer.blast.forged_bytes"),
-            replayed: registry.counter("measurer.blast.replayed_bytes"),
-        },
+    let start = fields![speedup = cfg.speedup];
+    procutil::peer::run(cfg, "measurer", start, |registry: &MetricsRegistry| Measurer {
         echo_blast: BlastCounters {
             verified: registry.counter("measurer.echo.verified_bytes"),
             corrupt: registry.counter("measurer.echo.corrupt_bytes"),
             forged: registry.counter("measurer.echo.forged_bytes"),
             replayed: registry.counter("measurer.echo.replayed_bytes"),
         },
-        resumed: registry.counter("measurer.sessions_resumed"),
     });
-    // Serve everything — control sessions, inbound blast channels —
-    // from the sharded reactor; this thread only watches for the drain
-    // signal and the session quota.
-    let reactor = match Reactor::serve_observed(
-        Some(listener),
-        ReactorConfig { shards: shared.cfg.io_threads, tick: Duration::from_millis(1) },
-        reactor::accept_factory(Arc::clone(&shared)),
-        Some(ReactorObs {
-            registry: registry.clone(),
-            prefix: "measurer.reactor".to_string(),
-            span: shared.span.clone(),
-            stall_budget: Duration::from_millis(20),
-        }),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.span.emit("measurer.fatal", fields![error = format!("start reactor: {e}")]);
-            std::process::exit(1);
-        }
-    };
-    loop {
-        if procutil::drain_requested() {
-            shared.span.event("measurer.drain");
-            break;
-        }
-        if shared.quota_reached() {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<PeerConfig, String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
     }
-    // Stop serving: running slots finish, handshakes abort, data
-    // channels wind down, and every shard joins before exit.
-    shared.draining.store(true, Ordering::SeqCst);
-    reactor.stop();
-    if let Err(e) = reactor.join() {
-        shared.span.emit("measurer.fatal", fields![error = e]);
+
+    #[test]
+    fn removed_modes_are_usage_errors_and_measurer_role_still_parses() {
+        for args in [
+            &["--role", "target"][..],
+            &["--report", "scripted"],
+            &["--report", "counters"],
+            &["--rate", "1000"],
+            &["--bg", "1000"],
+        ] {
+            let err = parse(args).expect_err("removed option must not parse");
+            assert!(err.contains(USAGE), "{args:?} did not surface the usage: {err}");
+        }
+        let cfg = parse(&["--role", "measurer", "--speedup", "50", "--sessions", "2"])
+            .expect("--role measurer still parses");
+        assert_eq!((cfg.speedup, cfg.sessions), (50.0, Some(2)));
     }
-    shared
-        .span
-        .emit("measurer.exit", fields![sessions = shared.sessions_done.load(Ordering::SeqCst)]);
 }

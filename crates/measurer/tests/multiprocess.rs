@@ -1,16 +1,13 @@
-//! The multi-process deployment harness: a sharded coordinator driving
-//! real `flashflow-measurer` processes over loopback TCP.
+//! The measurer process harness: a real `flashflow-measurer` spawned
+//! over loopback TCP, driven by a coordinator-side engine or by raw
+//! dials.
 //!
-//! This is the acceptance bar for the deployment layer: the coordinator
-//! partitions a slot-packed batch of measurement items across worker
-//! threads (`ShardedEngine::run_partitioned`), each item group opening
-//! its own TCP conversations to **spawned measurer processes** (two
-//! measurer-role processes and one target-role process, each serving
-//! its items' sessions concurrently), and the per-item estimates agree
-//! with the identical scenario run over in-memory transports — sessions
-//! and engines byte-for-byte the same, only the transport and process
-//! boundary differ. The processes are told how many sessions to serve
-//! (`--sessions`) so a clean run ends with every child exiting zero.
+//! Process-level agreement with the in-memory reference and warm-pool
+//! reuse are asserted end to end by the relay crate's `three_party`
+//! harness (coordinator + measurers + relay); this file covers what is
+//! the measurer's own: refusing data dials (data channels run measurer
+//! → relay, never into a measurer) and the operator surface — `--config`
+//! files and the graceful SIGTERM drain.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -18,52 +15,11 @@ use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flashflow_core::engine::{
-    EngineEvent, EngineSnapshot, MeasurementEngine, PeerDirectory, PeriodLedger, ShardedEngine,
-};
-use flashflow_core::measure::build_second_samples;
-use flashflow_core::pool::{ChannelKind, ConnectionPool};
-use flashflow_core::shard::script::{self, ScriptConfig, ScriptedPeer};
-use flashflow_core::shard::GroupRunner;
+use flashflow_core::engine::{EngineEvent, MeasurementEngine};
 use flashflow_proto::msg::{MeasureSpec, PeerRole, AUTH_TOKEN_LEN, FINGERPRINT_LEN};
 use flashflow_proto::session::{CoordPhase, CoordinatorSession, SessionTimeouts};
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_simnet::stats::median;
 use flashflow_simnet::time::{SimDuration, SimTime};
-
-const ITEMS: usize = 8;
-const SHARDS: usize = 4;
-const SLOT_SECS: u32 = 5;
-/// Measurer processes report a "second" every 20 ms.
-const SPEEDUP: &str = "50";
-/// (role, scripted per-second rate): two measurers and the target.
-const PEERS: [(PeerRole, u64); 3] = [
-    (PeerRole::Measurer, 40_000_000),
-    (PeerRole::Measurer, 20_000_000),
-    (PeerRole::Target, 2_000_000),
-];
-/// Paper ratio r; background is far under the allowance, so z = x + y.
-const RATIO: f64 = 0.25;
-
-fn token_for(peer_ix: usize) -> [u8; AUTH_TOKEN_LEN] {
-    [peer_ix as u8 + 0x11; AUTH_TOKEN_LEN]
-}
-
-fn token_hex(peer_ix: usize) -> String {
-    token_for(peer_ix).iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn spec_for(item: usize, role: PeerRole, rate: u64) -> MeasureSpec {
-    let mut fp = [0u8; FINGERPRINT_LEN];
-    fp[0] = item as u8;
-    MeasureSpec {
-        relay_fp: fp,
-        slot_secs: SLOT_SECS,
-        sockets: if role == PeerRole::Measurer { 8 } else { 0 },
-        rate_cap: if role == PeerRole::Measurer { rate } else { 0 },
-        ..MeasureSpec::default()
-    }
-}
 
 /// Spawns one `flashflow-measurer` with the given extra flags and
 /// reads its advertised address.
@@ -94,436 +50,98 @@ fn spawn_measurer_with(args: &[String]) -> (Child, SocketAddr) {
     (child, addr)
 }
 
-/// Spawns one scripted-mode `flashflow-measurer` (the PR-3-era harness
-/// shape: fixed reported rates, no data plane).
-fn spawn_measurer(peer_ix: usize, role: PeerRole, rate: u64) -> (Child, SocketAddr) {
-    let role_arg = match role {
-        PeerRole::Measurer => "measurer",
-        PeerRole::Target => "target",
-    };
-    let sessions = ITEMS.to_string();
-    let mut args = vec![
+/// Waits up to `limit` for `child` to exit.
+fn wait_exit(child: &mut Child, limit: Duration) -> Option<std::process::ExitStatus> {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            return Some(status);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn data_hello_is_refused_within_the_window_and_not_counted_as_a_session() {
+    use flashflow_proto::blast::DataChannelHello;
+    use flashflow_proto::transport::Transport;
+
+    // --sessions 1: if the refused dial counted, the process would exit
+    // before serving the real conversation below.
+    let speedup = 50.0;
+    let (mut child, addr) = spawn_measurer_with(&[
         "--listen".to_string(),
         "127.0.0.1:0".to_string(),
         "--role".to_string(),
-        role_arg.to_string(),
-        "--report".to_string(),
-        "scripted".to_string(),
-        "--token-hex".to_string(),
-        token_hex(peer_ix),
+        "measurer".to_string(),
         "--speedup".to_string(),
-        SPEEDUP.to_string(),
+        format!("{speedup}"),
         "--sessions".to_string(),
-        sessions,
-    ];
-    if role == PeerRole::Target {
-        args.extend(["--bg".to_string(), rate.to_string()]);
-    }
-    spawn_measurer_with(&args)
-}
+        "1".to_string(),
+    ]);
+    let hello_window = flashflow_procutil::hello_window(speedup);
 
-/// Extracts per-item median-z estimates from a partitioned run.
-fn estimates(snapshots: &[EngineSnapshot], ledger: &PeriodLedger) -> Vec<f64> {
-    (0..snapshots.len())
-        .map(|g| {
-            let (x, y) = ledger.merged_series(g, &snapshots[g], 0);
-            let seconds = build_second_samples(&x, &y, RATIO);
-            let z: Vec<f64> = seconds.iter().map(|s| s.z).collect();
-            median(&z).expect("item produced seconds")
-        })
-        .collect()
-}
-
-/// One item group against the spawned processes: three TCP
-/// conversations, wall-clock time, run on whatever shard thread picks
-/// it up.
-fn tcp_group(item: usize, addrs: [SocketAddr; 3]) -> Box<dyn GroupRunner> {
-    Box::new(move |emit: &mut dyn FnMut(EngineEvent)| -> EngineSnapshot {
-        let timeouts = SessionTimeouts::default();
-        let mut builder = MeasurementEngine::builder();
-        for (peer_ix, (role, rate)) in PEERS.into_iter().enumerate() {
-            let transport = TcpTransport::connect(addrs[peer_ix]).expect("connect to process");
-            let nonce = 1_000 + (item * PEERS.len() + peer_ix) as u64;
-            // The processes report at SPEEDUP× while this coordinator
-            // runs on wall clock, so legitimately fast reports must not
-            // look like a flood: raise the report-ahead cap to cover the
-            // whole slot.
-            let session = CoordinatorSession::new(
-                token_for(peer_ix),
-                role,
-                spec_for(item, role, rate),
-                nonce,
-                timeouts,
-            )
-            .with_report_ahead_cap(SLOT_SECS + 2);
-            builder.add_peer(0, session, Box::new(transport));
+    let t0 = Instant::now();
+    let mut dial = TcpTransport::connect(addr).expect("dial data hello");
+    dial.send(SimTime::ZERO, &DataChannelHello { nonce: 0x5EED, channel: 0 }.encode())
+        .expect("send hello");
+    let closed_after = loop {
+        match dial.recv(SimTime::ZERO) {
+            Ok(bytes) => assert!(bytes.is_empty(), "measurer answered a data hello: {bytes:?}"),
+            Err(_) => break t0.elapsed(),
         }
-        let mut engine = builder.hard_deadline(SimTime::from_secs(60)).build(SimTime::ZERO);
-        let t0 = Instant::now();
-        loop {
-            thread::sleep(Duration::from_millis(1));
-            let live = engine.step(SimTime::from_secs_f64(t0.elapsed().as_secs_f64()));
-            while let Some(ev) = engine.poll_event() {
-                emit(ev);
-            }
-            if !live {
-                return engine.snapshot();
-            }
-        }
-    })
-}
-
-/// The same item group over in-memory `Duplex` links with scripted
-/// local peers — the reference the TCP path must agree with (the
-/// shared harness from `flashflow_core::shard::script`).
-fn duplex_group() -> Box<dyn GroupRunner> {
-    let peers = PEERS
-        .into_iter()
-        .map(|(role, rate)| match role {
-            PeerRole::Measurer => ScriptedPeer::measurer(rate),
-            PeerRole::Target => ScriptedPeer::target(rate),
-        })
-        .collect();
-    script::group(
-        vec![peers],
-        ScriptConfig {
-            slot_secs: SLOT_SECS,
-            link_latency: SimDuration::from_millis(2),
-            link_chunk: 7,
-            tick: SimDuration::from_millis(10),
-            hard_deadline: SimDuration::from_secs(120),
-            ..ScriptConfig::default()
-        },
-    )
-}
-
-#[test]
-fn sharded_coordinator_measures_batch_across_measurer_processes() {
-    // In-memory reference first: deterministic, no processes involved.
-    let reference = ShardedEngine::run_partitioned(
-        (0..ITEMS).map(|_| duplex_group()).collect::<Vec<_>>(),
-        SHARDS,
-    );
-    assert!(reference.all_clean(), "reference run had failures");
-    let reference_estimates = estimates(&reference.snapshots, &reference.ledger);
-
-    // Two measurer processes and one target process; ≥ 2 spawned
-    // `flashflow-measurer` binaries is the acceptance bar.
-    let mut children = Vec::new();
-    let mut addrs = Vec::new();
-    for (peer_ix, (role, rate)) in PEERS.into_iter().enumerate() {
-        let (child, addr) = spawn_measurer(peer_ix, role, rate);
-        children.push(child);
-        addrs.push(addr);
-    }
-    let addrs: [SocketAddr; 3] = [addrs[0], addrs[1], addrs[2]];
-
-    let run = ShardedEngine::run_partitioned(
-        (0..ITEMS).map(|item| tcp_group(item, addrs)).collect::<Vec<_>>(),
-        SHARDS,
-    );
-    assert!(run.all_clean(), "a session failed against the spawned processes");
-    assert_eq!(run.snapshots.len(), ITEMS);
-    // Every group completed its item and the fan-in preserved
-    // group-local order (Go before the first sample).
-    for g in 0..ITEMS {
-        let of_g: Vec<&EngineEvent> =
-            run.events.iter().filter(|e| e.group == g).map(|e| &e.event).collect();
-        assert!(
-            matches!(of_g.last(), Some(EngineEvent::ItemComplete { item: 0 })),
-            "group {g}: {of_g:?}"
-        );
-        let go = of_g
-            .iter()
-            .position(|e| matches!(e, EngineEvent::GoReleased { .. }))
-            .expect("go released");
-        let sample = of_g
-            .iter()
-            .position(|e| matches!(e, EngineEvent::Sample { .. }))
-            .expect("samples arrived");
-        assert!(go < sample, "group {g} ordering: {of_g:?}");
-    }
-
-    // The estimates agree with the in-memory path within 5% (scripted
-    // rates: identical numbers crossed both transports).
-    let tcp_estimates = estimates(&run.snapshots, &run.ledger);
-    for (g, (tcp, dup)) in tcp_estimates.iter().zip(&reference_estimates).enumerate() {
-        assert!(*dup > 0.0, "reference estimate for item {g} is zero");
-        let rel = (tcp - dup).abs() / dup;
-        assert!(
-            rel < 0.05,
-            "item {g}: tcp {tcp:.0} B/s vs duplex {dup:.0} B/s differ by {:.2}%",
-            rel * 100.0
-        );
-        // x = 60 MB/s, y = 2 MB/s ⇒ z = 62 MB/s on both paths.
-        assert!((dup - 62_000_000.0).abs() < 1.0, "item {g} reference {dup}");
-    }
-
-    // Every child served its --sessions quota and exited cleanly.
-    for (ix, mut child) in children.into_iter().enumerate() {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("try_wait") {
-                break status;
-            }
-            assert!(Instant::now() < deadline, "process {ix} did not exit");
-            thread::sleep(Duration::from_millis(10));
-        };
-        assert!(status.success(), "process {ix} exited with {status}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// The real-traffic path: counter-backed reports over pooled connections.
-// ---------------------------------------------------------------------
-
-/// Items in the counters run (each = 1 control session per process).
-const C_ITEMS: usize = 4;
-const C_SHARDS: usize = 2;
-const C_SLOT_SECS: u32 = 4;
-/// Both sides run their clocks at this multiple of wall time, so a
-/// "second" is 100 ms and rate caps stay loopback-friendly.
-const C_SPEEDUP: f64 = 10.0;
-/// Data channels per measurer-role peer.
-const C_DATA_CHANNELS: usize = 2;
-/// (role, bytes-per-second): commanded blast caps and the target's bg.
-const C_PEERS: [(PeerRole, u64); 3] =
-    [(PeerRole::Measurer, 300_000), (PeerRole::Measurer, 150_000), (PeerRole::Target, 20_000)];
-
-/// One item group over **pooled** TCP connections: one control session
-/// per peer plus [`C_DATA_CHANNELS`] blast channels per measurer, the
-/// engine blasting real pattern-stamped bytes that the measurer
-/// processes count and report back.
-fn pooled_counters_group(
-    item: usize,
-    addrs: [SocketAddr; 3],
-    pool: ConnectionPool,
-) -> Box<dyn GroupRunner> {
-    Box::new(move |emit: &mut dyn FnMut(EngineEvent)| -> EngineSnapshot {
-        // The coordinator clock runs at C_SPEEDUP×, which shrinks the
-        // default timeouts to fractions of a wall second — too tight
-        // for a loaded CI box. Scale them up so only the hard deadline
-        // bounds a genuinely wedged run.
-        let timeouts = SessionTimeouts {
-            handshake: SimDuration::from_secs(10 * C_SPEEDUP as u64),
-            report: SimDuration::from_secs(5 * C_SPEEDUP as u64),
-        };
-        let mut builder = MeasurementEngine::builder();
-        let mut control = Vec::new();
-        let mut data = Vec::new();
-        for (peer_ix, (role, rate)) in C_PEERS.into_iter().enumerate() {
-            let conn =
-                pool.checkout(addrs[peer_ix], ChannelKind::Control).expect("checkout control");
-            let handle = conn.reuse_handle();
-            let nonce = 0xC0DE_0000 + (item * C_PEERS.len() + peer_ix) as u64;
-            let session = CoordinatorSession::new(
-                token_for(peer_ix),
-                role,
-                MeasureSpec {
-                    relay_fp: {
-                        let mut fp = [0u8; FINGERPRINT_LEN];
-                        fp[0] = item as u8;
-                        fp
-                    },
-                    slot_secs: C_SLOT_SECS,
-                    sockets: if role == PeerRole::Measurer { C_DATA_CHANNELS as u32 } else { 0 },
-                    rate_cap: if role == PeerRole::Measurer { rate } else { 0 },
-                    ..MeasureSpec::default()
-                },
-                nonce,
-                timeouts,
-            )
-            .with_report_ahead_cap(C_SLOT_SECS + 2);
-            let peer = builder.add_peer(0, session, Box::new(conn));
-            control.push((peer, handle));
-            if role == PeerRole::Measurer {
-                for _ in 0..C_DATA_CHANNELS {
-                    let dconn =
-                        pool.checkout(addrs[peer_ix], ChannelKind::Data).expect("checkout data");
-                    data.push((peer, dconn.reuse_handle()));
-                    builder.add_data_channel(peer, Box::new(dconn));
-                }
-            }
-        }
-        // 60 sped-up seconds = 6 s wall: far beyond one slot.
-        let mut engine = builder.hard_deadline(SimTime::from_secs(60)).build(SimTime::ZERO);
-        let t0 = Instant::now();
-        loop {
-            thread::sleep(Duration::from_millis(1));
-            let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * C_SPEEDUP);
-            let live = engine.step(now);
-            while let Some(ev) = engine.poll_event() {
-                emit(ev);
-            }
-            if !live {
-                break;
-            }
-        }
-        // Park what stayed clean; everything else really closes.
-        for (peer, handle) in control {
-            if engine.phase(peer) == CoordPhase::Done {
-                handle.approve();
-            }
-        }
-        for (peer, handle) in data {
-            if engine.phase(peer) == CoordPhase::Done && engine.data_channels_clean(peer) {
-                handle.approve();
-            }
-        }
-        let snapshot = engine.snapshot();
-        drop(engine); // pooled connections check themselves back in
-        snapshot
-    })
-}
-
-#[test]
-fn counters_multiprocess_agrees_with_scripted_reference_over_pooled_connections() {
-    // The deterministic reference: the identical rates, scripted over
-    // in-memory Duplex links.
-    let reference = ShardedEngine::run_partitioned(
-        (0..C_ITEMS)
-            .map(|_| {
-                let peers = C_PEERS
-                    .into_iter()
-                    .map(|(role, rate)| match role {
-                        PeerRole::Measurer => ScriptedPeer::measurer(rate),
-                        PeerRole::Target => ScriptedPeer::target(rate),
-                    })
-                    .collect();
-                script::group(
-                    vec![peers],
-                    ScriptConfig { slot_secs: C_SLOT_SECS, ..ScriptConfig::default() },
-                )
-            })
-            .collect::<Vec<_>>(),
-        C_SHARDS,
-    );
-    assert!(reference.all_clean(), "reference run had failures");
-    let reference_estimates = estimates(&reference.snapshots, &reference.ledger);
-
-    // Counter-mode processes (the default --report): two measurers that
-    // count real blast bytes, one scripted-bg target.
-    let mut children = Vec::new();
-    let mut addrs = Vec::new();
-    for (peer_ix, (role, rate)) in C_PEERS.into_iter().enumerate() {
-        let role_arg = match role {
-            PeerRole::Measurer => "measurer",
-            PeerRole::Target => "target",
-        };
-        let mut args = vec![
-            "--listen".to_string(),
-            "127.0.0.1:0".to_string(),
-            "--role".to_string(),
-            role_arg.to_string(),
-            "--token-hex".to_string(),
-            token_hex(peer_ix),
-            "--speedup".to_string(),
-            C_SPEEDUP.to_string(),
-            "--sessions".to_string(),
-            C_ITEMS.to_string(),
-        ];
-        if role == PeerRole::Target {
-            args.extend(["--bg".to_string(), rate.to_string()]);
-        }
-        let (child, addr) = spawn_measurer_with(&args);
-        children.push(child);
-        addrs.push(addr);
-    }
-    let addrs: [SocketAddr; 3] = [addrs[0], addrs[1], addrs[2]];
-
-    let pool = ConnectionPool::new();
-    let run = ShardedEngine::run_partitioned(
-        (0..C_ITEMS).map(|item| pooled_counters_group(item, addrs, pool.clone())).collect(),
-        C_SHARDS,
-    );
-    assert!(run.all_clean(), "a session failed against the counter-mode processes");
-
-    // Real bytes moved and the counter-derived estimates agree with the
-    // scripted/Duplex reference within 5%.
-    let tcp_estimates = estimates(&run.snapshots, &run.ledger);
-    for (g, (tcp, reference)) in tcp_estimates.iter().zip(&reference_estimates).enumerate() {
-        assert!(*reference > 0.0, "reference estimate for item {g} is zero");
-        let rel = (tcp - reference).abs() / reference;
-        assert!(
-            rel < 0.05,
-            "item {g}: counters {tcp:.0} B/s vs scripted {reference:.0} B/s differ by {:.2}%",
-            rel * 100.0
-        );
-    }
-
-    // The audit rows: every measurer second carries BOTH the reported
-    // rate and the coordinator's locally counted one, honest counters
-    // stay inside the divergence tolerance, and the reporting-only
-    // target's rows carry its bg claim next to the measurers'
-    // aggregated echo (its zero echo claim has nothing to cross-check,
-    // and the modest bg stays under the plausibility bound).
-    for g in 0..C_ITEMS {
-        let rows = run.rows(g, 0);
-        let snapshot = &run.snapshots[g];
-        let mut measurer_rows = 0usize;
-        for row in &rows {
-            match snapshot.role(row.peer) {
-                PeerRole::Measurer => {
-                    assert!(
-                        row.counted.is_some(),
-                        "item {g}: measurer second without a counted rate: {row:?}"
-                    );
-                    measurer_rows += 1;
-                }
-                PeerRole::Target => {
-                    assert_eq!(row.reported, 0, "item {g}: scripted target claims no echo");
-                    assert_eq!(row.bg, 20_000, "item {g}: target bg claim: {row:?}");
-                    assert!(
-                        row.counted.is_some(),
-                        "item {g}: target row lacks the aggregated measurer echo: {row:?}"
-                    );
-                    assert!(!row.divergent, "item {g}: honest target flagged: {row:?}");
-                }
-            }
-        }
-        assert_eq!(measurer_rows, 2 * C_SLOT_SECS as usize, "item {g}: {rows:?}");
-        let divergent = rows.iter().filter(|r| r.divergent).count();
-        assert!(
-            divergent <= 2,
-            "item {g}: {divergent} divergent rows from honest counters: {rows:?}"
-        );
-    }
-
-    // The pool did its job: later items rode warm connections instead
-    // of dialing fresh (7 connections per item × 4 items would be 28
-    // dials without reuse).
-    let per_item = C_PEERS.len() + 2 * C_DATA_CHANNELS;
+        assert!(t0.elapsed() < Duration::from_secs(10), "data dial never closed");
+        thread::sleep(Duration::from_millis(1));
+    };
     assert!(
-        pool.reuses() > 0,
-        "no warm connection was ever reused (dials {}, reuses {})",
-        pool.dials(),
-        pool.reuses()
+        closed_after < hello_window,
+        "data dial held {closed_after:?}, past the {hello_window:?} hello window"
     );
-    assert!(
-        (pool.dials() as usize) < C_ITEMS * per_item,
-        "every item dialed fresh: {} dials for {} conversations",
-        pool.dials(),
-        C_ITEMS * per_item
-    );
+    thread::sleep(hello_window);
+    assert!(child.try_wait().expect("try_wait").is_none(), "refused dial spent the session quota");
 
-    // Dropping the pool closes the parked connections, which releases
-    // the children to finish their quotas and exit 0.
-    drop(pool);
-    drop(run);
-    for (ix, mut child) in children.into_iter().enumerate() {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("try_wait") {
-                break status;
-            }
-            if Instant::now() >= deadline {
-                let _ = child.kill();
-                panic!("counter-mode process {ix} did not exit");
-            }
-            thread::sleep(Duration::from_millis(10));
-        };
-        assert!(status.success(), "counter-mode process {ix} exited with {status}");
+    // The one real conversation still runs to completion, and only it
+    // spends the quota: the process then exits 0.
+    let token = [0x42u8; AUTH_TOKEN_LEN]; // the built-in loopback token
+    let timeouts = SessionTimeouts {
+        handshake: SimDuration::from_secs(500),
+        report: SimDuration::from_secs(300),
+    };
+    let slot_secs = 3u32;
+    let spec = MeasureSpec {
+        relay_fp: [7; FINGERPRINT_LEN],
+        slot_secs,
+        sockets: 1,
+        ..MeasureSpec::default()
+    };
+    let mut builder = MeasurementEngine::builder();
+    let session = CoordinatorSession::new(token, PeerRole::Measurer, spec, 0x5E55, timeouts)
+        .with_report_ahead_cap(slot_secs + 2);
+    let peer = builder.add_peer(0, session, Box::new(TcpTransport::connect(addr).expect("dial")));
+    let mut engine = builder.hard_deadline(SimTime::from_secs(600)).build(SimTime::ZERO);
+    let t1 = Instant::now();
+    let mut samples = 0;
+    loop {
+        thread::sleep(Duration::from_millis(1));
+        let live = engine.step(SimTime::from_secs_f64(t1.elapsed().as_secs_f64() * speedup));
+        while let Some(ev) = engine.poll_event() {
+            samples += usize::from(matches!(ev, EngineEvent::Sample { .. }));
+        }
+        if !live {
+            break;
+        }
+        assert!(t1.elapsed() < Duration::from_secs(20), "conversation never finished");
     }
+    assert_eq!(engine.phase(peer), CoordPhase::Done);
+    assert_eq!(samples, slot_secs as usize);
+    let Some(status) = wait_exit(&mut child, Duration::from_secs(15)) else {
+        let _ = child.kill();
+        panic!("process did not exit after its one session");
+    };
+    assert!(status.success(), "quota exit must be 0, got {status}");
 }
 
 // ---------------------------------------------------------------------
@@ -545,7 +163,6 @@ fn sigterm_drains_in_flight_slot_flushes_aborts_and_exits_zero() {
         "# flashflow-measurer drain-test config\n\
          listen = 127.0.0.1:0\n\
          role = measurer\n\
-         report = scripted\n\
          speedup = 2\n",
     )
     .expect("write config");

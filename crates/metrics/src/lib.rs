@@ -6,8 +6,8 @@
 //! error/variation analyses of Equations (1)–(7).
 //!
 //! * [`archive`] — the time-gridded archive data model.
-//! * [`synth`] — the synthetic corpus generator (DESIGN.md §1 records
-//!   the substitution for the real archives).
+//! * [`synth`] — the synthetic corpus generator, standing in for the
+//!   real archives because the build is offline and ships no datasets.
 //! * [`error`] — relay/network capacity and weight error (Figs. 1–4).
 //! * [`variation`] — relative standard deviation (Fig. 10).
 //! * [`speedtest`] — the §3.4 flood experiment (Fig. 5).

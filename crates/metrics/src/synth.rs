@@ -1,8 +1,10 @@
 //! Synthetic Tor metrics archive generation.
 //!
 //! The paper analyses 11 years of real archives; this reproduction
-//! generates a statistically calibrated synthetic corpus instead
-//! (DESIGN.md §1 records the substitution). The generator encodes the
+//! generates a statistically calibrated synthetic corpus instead,
+//! because the build is offline and ships no datasets (the real
+//! archives are a download away from any deployment, never from here).
+//! The generator encodes the
 //! paper's own explanation of the data (§3.3): relays are chronically
 //! *under-utilised*, so their observed/advertised bandwidth tracks their
 //! fluctuating load, not their capacity; utilisation varies on both fast

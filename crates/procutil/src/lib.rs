@@ -2,16 +2,19 @@
 //! (`flashflow-measurer`, `flashflow-relay`).
 //!
 //! Both binaries are the same *kind* of program — a loopback-friendly
-//! TCP listener that classifies connections by first byte, drains
-//! gracefully on SIGTERM, and is configured by `--key value` flags
-//! and/or `key=value` config files. The pieces that are identical by
-//! construction live here once, so a fix to signal handling or config
-//! parsing cannot silently miss one of the binaries; everything
-//! protocol-shaped (what the sessions do, what the data plane means)
-//! stays in the binaries themselves.
+//! TCP listener that classifies connections by first byte, serves the
+//! peer side of the control protocol, drains gracefully on SIGTERM,
+//! and is configured by `--key value` flags and/or `key=value` config
+//! files. The pieces that are identical by construction live here
+//! once — including the whole serving scaffold and conversation loop
+//! ([`peer`]) — so a fix to signal handling, config parsing, or the
+//! session loop cannot silently miss one of the binaries; what differs
+//! by role (the relay's echo plane, the measurer's echo dial and
+//! verify) stays in the binaries as [`peer::Role`] hooks.
 
 mod metrics_endpoint;
 pub mod net;
+pub mod peer;
 pub mod persist;
 pub mod reactor;
 
@@ -21,12 +24,9 @@ pub use persist::{append_line, append_torn_line, atomic_write, journal_writer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use flashflow_proto::msg::AUTH_TOKEN_LEN;
-use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::Transport;
-use flashflow_simnet::time::SimTime;
 
 /// Set by the SIGTERM handler; the process's accept loop begins its
 /// drain when this flips.
@@ -162,31 +162,6 @@ pub fn parse_args(
 /// like every other pacing quantity.
 pub fn hello_window(speedup: f64) -> Duration {
     Duration::from_secs_f64((10.0 / speedup).clamp(0.05, 30.0))
-}
-
-/// Reads a freshly accepted connection's first bytes so the caller can
-/// classify it (control frame vs data hello). Returns `None` — the
-/// connection should be dropped — if it stays silent past `window`
-/// (a half-open dial must not hold a serving thread), dies, or the
-/// process starts draining while we wait.
-pub fn await_first_bytes(
-    transport: &mut TcpTransport,
-    window: Duration,
-    draining: &dyn Fn() -> bool,
-) -> Option<Vec<u8>> {
-    let deadline = Instant::now() + window;
-    loop {
-        match transport.recv(SimTime::ZERO) {
-            Ok(bytes) if !bytes.is_empty() => return Some(bytes),
-            Ok(_) => {
-                if Instant::now() >= deadline || draining() {
-                    return None;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return None,
-        }
-    }
 }
 
 #[cfg(test)]

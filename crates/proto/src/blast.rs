@@ -3,24 +3,24 @@
 //!
 //! The control protocol ([`crate::session`]) decides *when* a slot runs;
 //! this module is what actually moves the measurement bytes (§4.1's
-//! blast). A coordinator-side [`TrafficSource`] pumps [`blast
+//! blast). A measurer-side [`TrafficSource`] pumps [`blast
 //! frames`](BLAST_FRAME_TAG) — bulk payloads stamped with a keystream
-//! derived from the control session's handshake nonce — over any
-//! [`Transport`], paced against a caller-injected clock; a peer-side
-//! [`BlastParser`] (usually wrapped in a [`TrafficSink`]) reassembles
-//! the stream from arbitrary chunks, verifies every payload byte
-//! against the same keystream, and counts received and corrupt bytes.
-//! Both sides sample their counters per second with a [`ByteCounter`],
+//! derived from the measurement's binding nonce — over any
+//! [`Transport`], paced against a caller-injected clock. The target
+//! relay's [`Echoer`] verifies every payload byte against the same
+//! keystream and loops exactly the verified bytes back, and the
+//! measurer's own [`BlastParser`] verifies the echo stream in turn.
+//! Both ends sample their counters per second with a [`ByteCounter`],
 //! which is what makes a `SecondReport` *derivable from observation*
-//! instead of asserted — and what lets the coordinator cross-check a
-//! peer's reported rates against its own locally counted ones
-//! (inflation attacks in the TorMult family assert bytes that never
-//! moved; honest counters on both ends make that visible).
+//! instead of asserted — and what lets the coordinator cross-check the
+//! relay's echo claim against the measurers' verified echo (inflation
+//! attacks in the TorMult family assert bytes that never moved; honest
+//! counters on both ends make that visible).
 //!
 //! A data connection is not anonymous: its first bytes are a
-//! [`DataChannelHello`] carrying the nonce of an authenticated control
-//! session, so the serving side can bind the channel to a conversation
-//! that actually passed the token handshake and refuse the rest.
+//! [`DataChannelHello`] carrying the public binding nonce of a commanded
+//! measurement, so the relay can bind the channel to a measurement that
+//! a `MeasureCmd` actually registered and refuse the rest.
 //!
 //! Everything here is sans-IO in the same sense as the sessions: time
 //! enters through method arguments, transports are the caller's, and
@@ -72,7 +72,7 @@ pub const HELLO_LEN: usize = 1 + 1 + 8 + 4;
 /// keyed integrity tag (u64).
 pub const BLAST_HEADER_LEN: usize = 1 + 8 + 4 + 8;
 
-/// Largest payload a single blast frame may carry; bounds sink memory.
+/// Largest payload a single blast frame may carry; bounds receiver memory.
 pub const MAX_BLAST_PAYLOAD: usize = 64 * 1024;
 
 /// Payload bytes per frame a [`TrafficSource`] emits.
@@ -97,37 +97,11 @@ pub const SEND_BATCH_BYTES: usize = 64 * 1024;
 /// without bound.
 pub const ECHO_BACKLOG_HIGH_WATER: usize = 1 << 20;
 
-/// Where a peer's `SecondReport` numbers come from.
-///
-/// The real measurement path derives reports from byte counters fed by
-/// the data plane ([`ReportSource::Counters`]); scripted rates remain
-/// available for the deterministic simulation, benches, and tests that
-/// need exact known numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportSource {
-    /// Report fixed, configured per-second rates (sim/test harnesses).
-    Scripted,
-    /// Report what the data-plane byte counters actually observed.
-    Counters,
-}
-
-impl std::str::FromStr for ReportSource {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scripted" => Ok(ReportSource::Scripted),
-            "counters" => Ok(ReportSource::Counters),
-            other => Err(format!("unknown report source {other:?} (scripted|counters)")),
-        }
-    }
-}
-
-/// The opener of every data connection: binds the channel to an
-/// authenticated control session's handshake nonce.
+/// The opener of every data connection: binds the channel to a
+/// commanded measurement's public binding nonce (see [`binding_nonce`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataChannelHello {
-    /// The `Auth` nonce of the control session this channel serves.
+    /// The binding nonce of the measurement this channel serves.
     pub nonce: u64,
     /// Zero-based channel index within that session's data channels.
     pub channel: u32,
@@ -216,7 +190,6 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 const BINDING_SALT: u64 = 0xB1D1_0000_ECC0_0001;
-const TOKEN_KEY_SALT: u64 = 0x7C8E_0000_4E40_0002;
 const SECRET_KEY_SALT: u64 = 0x5EC2_0000_7A60_0003;
 const FRAME_TAG_SALT: u64 = 0xF2A6_0000_1A90_0004;
 
@@ -242,26 +215,13 @@ pub fn secret_channel_key(secret: u64) -> u64 {
     splitmix64(secret ^ SECRET_KEY_SALT) ^ secret.rotate_left(17)
 }
 
-/// The frame-tag key derived from a pre-shared control token
-/// (coordinator-blasted channels: both ends hold the token, which never
-/// crosses a data connection).
-pub fn channel_key(token: &[u8; crate::msg::AUTH_TOKEN_LEN]) -> u64 {
-    let mut key = TOKEN_KEY_SALT;
-    for chunk in token.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        key = splitmix64(key ^ u64::from_be_bytes(word));
-    }
-    key
-}
-
 /// The keyed integrity tag stamped into every blast frame header: a
 /// PRF of the secret channel key and the frame's identity. The
 /// keystream alone ([`BlastPattern`]) detects *corruption* but is
 /// derived from the hello nonce, which crosses the wire in the clear —
 /// a MITM who reads it could forge whole frames that verify. The tag is
-/// keyed by a secret that never crosses the data channel (the control
-/// token, or the `MeasureCmd`'s measurement secret), so forged frames
+/// keyed by a secret that never crosses the data channel (the
+/// `MeasureCmd`'s measurement secret), so forged frames
 /// fail the tag check and are counted instead of credited. Because the
 /// tag binds the sequence number, a MITM's remaining move is re-sending
 /// captured frames — which the receiver's monotone sequence window
@@ -274,7 +234,7 @@ pub fn frame_tag(key: u64, nonce: u64, seq: u64, len: u32) -> u64 {
 }
 
 /// The keystream every blast payload is stamped with: a cheap PRF of
-/// (nonce, frame sequence number, word index). The sink regenerates it
+/// (nonce, frame sequence number, word index). The receiver regenerates it
 /// from the hello it accepted, so any byte a middlebox (or a lying
 /// serializer) flips is counted as corrupt instead of inflating the
 /// measurement.
@@ -284,7 +244,7 @@ pub struct BlastPattern {
 }
 
 impl BlastPattern {
-    /// The pattern bound to one control session's nonce.
+    /// The pattern bound to one measurement's binding nonce.
     pub fn new(nonce: u64) -> Self {
         BlastPattern { nonce }
     }
@@ -408,8 +368,8 @@ pub struct TrafficSource<T: Transport> {
 }
 
 impl<T: Transport> TrafficSource<T> {
-    /// A source for channel `channel` of the control session that
-    /// authenticated with `nonce`.
+    /// A source for channel `channel` of the measurement bound to
+    /// `nonce`.
     pub fn new(transport: T, nonce: u64, channel: u32) -> Self {
         TrafficSource {
             transport,
@@ -478,7 +438,7 @@ impl<T: Transport> TrafficSource<T> {
         self.transport
     }
 
-    /// Sends the hello, binding this channel to its control session.
+    /// Sends the hello, binding this channel to its measurement.
     /// Idempotent; a transport failure records the error and stops the
     /// channel.
     pub fn greet(&mut self, now: SimTime) {
@@ -564,7 +524,7 @@ impl<T: Transport> TrafficSource<T> {
 /// What a [`BlastParser`] surfaced from a chunk of stream bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlastEvent {
-    /// A (re)binding hello: the channel now serves this control session.
+    /// A (re)binding hello: the channel now serves this measurement.
     Hello(DataChannelHello),
     /// Payload bytes arrived: `bytes` total, of which `corrupt` did not
     /// match the pattern keystream.
@@ -850,147 +810,6 @@ fn flush_data(events: &mut Vec<BlastEvent>, bytes: &mut u64, corrupt: &mut u64) 
         events.push(BlastEvent::Data { bytes: *bytes, corrupt: *corrupt });
         *bytes = 0;
         *corrupt = 0;
-    }
-}
-
-/// The receiving half of one data channel: a [`BlastParser`] bound to a
-/// transport, with per-second received/corrupt counters on the caller's
-/// clock. This is the in-process sink used by tests and benches; the
-/// standalone measurer process drives a bare [`BlastParser`] so it can
-/// aggregate counters across channels.
-pub struct TrafficSink<T: Transport> {
-    transport: T,
-    parser: BlastParser,
-    counter: ByteCounter,
-    corrupt_counter: ByteCounter,
-    hello: Option<DataChannelHello>,
-    error: Option<TransportError>,
-    /// Reused receive buffer ([`Transport::recv_into`]).
-    rxbuf: Vec<u8>,
-}
-
-impl<T: Transport> TrafficSink<T> {
-    /// A sink draining `transport`.
-    pub fn new(transport: T) -> Self {
-        TrafficSink {
-            transport,
-            parser: BlastParser::new(),
-            counter: ByteCounter::new(),
-            corrupt_counter: ByteCounter::new(),
-            hello: None,
-            error: None,
-            rxbuf: Vec::new(),
-        }
-    }
-
-    /// Keys the integrity-tag check of the underlying parser.
-    #[must_use]
-    pub fn with_key(mut self, key: u64) -> Self {
-        self.parser = std::mem::take(&mut self.parser).with_key(key);
-        self
-    }
-
-    /// Streams the underlying parser's byte accounting into shared
-    /// telemetry counters (see [`BlastParser::with_counters`]).
-    #[must_use]
-    pub fn with_counters(mut self, counters: BlastCounters) -> Self {
-        self.parser = std::mem::take(&mut self.parser).with_counters(counters);
-        self
-    }
-
-    /// Starts the per-second counting clock (the slot's Go instant).
-    pub fn start(&mut self, now: SimTime) {
-        self.counter.start(now);
-        self.corrupt_counter.start(now);
-    }
-
-    /// Drains the transport once; returns `true` if bytes arrived.
-    ///
-    /// # Errors
-    /// Returns the first **framing** error (sticky; the stream has lost
-    /// sync). A *transport* failure is not an `Err` — the sink records
-    /// it (see [`TrafficSink::transport_error`]) and later pumps return
-    /// `Ok(false)`, because "the peer hung up" is the normal end of a
-    /// blast channel, not a protocol violation.
-    pub fn pump(&mut self, now: SimTime) -> Result<bool, BlastError> {
-        if self.error.is_some() {
-            return Ok(false);
-        }
-        self.counter.roll(now);
-        self.corrupt_counter.roll(now);
-        // Swap the reused buffer out so the parser can borrow `self`.
-        let mut rx = std::mem::take(&mut self.rxbuf);
-        let got = match self.transport.recv_into(now, &mut rx) {
-            Ok(got) => got,
-            Err(err) => {
-                self.error = Some(err);
-                self.rxbuf = rx;
-                return Ok(false);
-            }
-        };
-        if got == 0 {
-            self.rxbuf = rx;
-            return Ok(false);
-        }
-        let events = self.parser.push(&rx);
-        self.rxbuf = rx;
-        for event in events? {
-            match event {
-                BlastEvent::Hello(h) => self.hello = Some(h),
-                BlastEvent::Data { bytes, corrupt } => {
-                    if self.counter.is_running() {
-                        self.counter.add(now, bytes);
-                        self.corrupt_counter.add(now, corrupt);
-                    }
-                }
-                // Forgeries and replays accrue on the parser's
-                // counters only; neither is credited to the received
-                // series.
-                BlastEvent::Forged { .. } | BlastEvent::Replayed { .. } => {}
-            }
-        }
-        Ok(true)
-    }
-
-    /// The most recent hello, once one arrived.
-    pub fn hello(&self) -> Option<DataChannelHello> {
-        self.hello
-    }
-
-    /// Total payload bytes received.
-    pub fn received_total(&self) -> u64 {
-        self.parser.received_total()
-    }
-
-    /// Total payload bytes failing pattern verification.
-    pub fn corrupt_total(&self) -> u64 {
-        self.parser.corrupt_total()
-    }
-
-    /// Total declared bytes of frames whose integrity tag failed.
-    pub fn forged_total(&self) -> u64 {
-        self.parser.forged_total()
-    }
-
-    /// Total declared bytes of tag-valid frames with replayed
-    /// sequence numbers.
-    pub fn replayed_total(&self) -> u64 {
-        self.parser.replayed_total()
-    }
-
-    /// Received bytes per completed second since [`TrafficSink::start`].
-    pub fn completed_seconds(&self) -> &[u64] {
-        self.counter.completed()
-    }
-
-    /// The first transport error observed, if any.
-    pub fn transport_error(&self) -> Option<TransportError> {
-        self.error
-    }
-
-    /// The transport (fault tripping in tests).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
     }
 }
 
@@ -1381,31 +1200,52 @@ mod tests {
         assert_eq!(c.total(), 150);
     }
 
+    /// Feeds whatever `wire` holds into `parser`: the bare receive step
+    /// every receiver (the relay's echoer, the measurer's echo verify)
+    /// runs per pump.
+    fn drain(
+        parser: &mut BlastParser,
+        wire: &mut impl Transport,
+        now: SimTime,
+    ) -> Result<Vec<BlastEvent>, BlastError> {
+        let bytes = wire.recv(now).expect("stream open");
+        parser.push(&bytes)
+    }
+
+    /// The last hello among `events`, if any.
+    fn last_hello(events: &[BlastEvent]) -> Option<DataChannelHello> {
+        events.iter().rev().find_map(|ev| match ev {
+            BlastEvent::Hello(h) => Some(*h),
+            _ => None,
+        })
+    }
+
     #[test]
     fn source_to_sink_stream_verifies_clean_over_chunked_link() {
         // 3-byte re-chunking: every hello and frame crosses reassembly.
-        let (a, b) = Duplex::new(SimDuration::ZERO, 3).into_endpoints();
+        let (a, mut b) = Duplex::new(SimDuration::ZERO, 3).into_endpoints();
         let mut src = TrafficSource::new(a, 0xABCD, 0);
         src.set_rate_cap(40_000);
-        let mut sink = TrafficSink::new(b);
+        let mut parser = BlastParser::new();
 
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
+        let mut hello = None;
         for tick in 0..=30u64 {
             let now = SimTime::from_secs_f64(tick as f64 * 0.1);
             src.pump(now);
-            sink.pump(now).expect("clean stream");
+            let events = drain(&mut parser, &mut b, now).expect("clean stream");
+            hello = last_hello(&events).or(hello);
         }
         let now = SimTime::from_secs(3);
         src.stop(now);
-        sink.pump(now).expect("clean stream");
+        drain(&mut parser, &mut b, now).expect("clean stream");
 
-        assert_eq!(sink.hello(), Some(DataChannelHello { nonce: 0xABCD, channel: 0 }));
+        assert_eq!(hello, Some(DataChannelHello { nonce: 0xABCD, channel: 0 }));
         assert!(src.sent_total() > 0);
-        assert_eq!(sink.received_total(), src.sent_total(), "every payload byte arrived");
-        assert_eq!(sink.corrupt_total(), 0, "pattern verified");
-        // Pacing: roughly rate_cap per completed second on both ends.
+        assert_eq!(parser.received_total(), src.sent_total(), "every payload byte arrived");
+        assert_eq!(parser.corrupt_total(), 0, "pattern verified");
+        // Pacing: roughly rate_cap per completed second.
         for (ix, &sec) in src.completed_seconds().iter().enumerate() {
             assert!((30_000..=50_000).contains(&sec), "source second {ix} sent {sec} B (cap 40k)");
         }
@@ -1414,13 +1254,12 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_are_counted_not_trusted() {
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, 7, 0);
         src.set_rate_cap(1_000);
-        let mut sink = TrafficSink::new(b);
+        let mut parser = BlastParser::new();
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
 
         // Flip bytes in flight by re-sending a doctored copy: build a
@@ -1434,9 +1273,13 @@ mod tests {
         frame.extend_from_slice(&[0xFF; 8]);
         src.transport_mut().send(SimTime::from_secs(1), &frame).unwrap();
 
-        sink.pump(SimTime::from_secs(1)).expect("framing intact");
-        assert!(sink.corrupt_total() >= 7, "doctored payload flagged: {}", sink.corrupt_total());
-        assert!(sink.corrupt_total() < sink.received_total(), "honest bytes still counted");
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).expect("framing intact");
+        assert!(
+            parser.corrupt_total() >= 7,
+            "doctored payload flagged: {}",
+            parser.corrupt_total()
+        );
+        assert!(parser.corrupt_total() < parser.received_total(), "honest bytes still counted");
     }
 
     #[test]
@@ -1446,18 +1289,17 @@ mod tests {
         // key, so its frames fail the tag and credit nothing.
         let key = secret_channel_key(0xDEAD_5EC2);
         let nonce = binding_nonce(0xDEAD_5EC2);
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, nonce, 0).with_key(key);
         src.set_rate_cap(2_000);
-        let mut sink = TrafficSink::new(b).with_key(key);
+        let mut parser = BlastParser::new().with_key(key);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
-        let honest = sink.received_total();
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).unwrap();
+        let honest = parser.received_total();
         assert!(honest > 0);
-        assert_eq!(sink.forged_total(), 0);
+        assert_eq!(parser.forged_total(), 0);
 
         // The MITM forges a perfectly pattern-correct frame, tagged with
         // the only key it has: the public nonce.
@@ -1472,15 +1314,15 @@ mod tests {
         BlastPattern::new(nonce).fill(seq, &mut payload);
         forged.extend_from_slice(&payload);
         src.transport_mut().send(SimTime::from_secs(1), &forged).unwrap();
-        sink.pump(SimTime::from_secs(1)).expect("framing survives a forgery");
-        assert_eq!(sink.forged_total(), u64::from(len), "forgery counted");
-        assert_eq!(sink.received_total(), honest, "forged payload never credited");
-        assert_eq!(sink.corrupt_total(), 0);
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).expect("framing survives a forgery");
+        assert_eq!(parser.forged_total(), u64::from(len), "forgery counted");
+        assert_eq!(parser.received_total(), honest, "forged payload never credited");
+        assert_eq!(parser.corrupt_total(), 0);
 
         // And the stream keeps working after the skipped frame.
         src.pump(SimTime::from_secs(2));
-        sink.pump(SimTime::from_secs(2)).unwrap();
-        assert!(sink.received_total() > honest, "honest frames resume after the forgery");
+        drain(&mut parser, &mut b, SimTime::from_secs(2)).unwrap();
+        assert!(parser.received_total() > honest, "honest frames resume after the forgery");
     }
 
     #[test]
@@ -1490,16 +1332,15 @@ mod tests {
         // pair is credited at most once.
         let key = secret_channel_key(0x4E91);
         let nonce = binding_nonce(0x4E91);
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, nonce, 0).with_key(key);
         src.set_rate_cap(2_000);
-        let mut sink = TrafficSink::new(b).with_key(key);
+        let mut parser = BlastParser::new().with_key(key);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
-        let honest = sink.received_total();
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).unwrap();
+        let honest = parser.received_total();
         assert!(honest > 0);
 
         // The MITM captures and re-sends frame 0 — header and
@@ -1516,40 +1357,39 @@ mod tests {
         for _ in 0..5 {
             src.transport_mut().send(SimTime::from_secs(1), &replay).unwrap();
         }
-        sink.pump(SimTime::from_secs(1)).expect("framing survives replays");
-        assert_eq!(sink.received_total(), honest, "replayed bytes never credited");
-        assert_eq!(sink.replayed_total(), 5 * u64::from(len), "every replay counted");
-        assert_eq!(sink.forged_total(), 0);
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).expect("framing survives replays");
+        assert_eq!(parser.received_total(), honest, "replayed bytes never credited");
+        assert_eq!(parser.replayed_total(), 5 * u64::from(len), "every replay counted");
+        assert_eq!(parser.forged_total(), 0);
 
         // Honest traffic continues past the replays.
         src.pump(SimTime::from_secs(2));
-        sink.pump(SimTime::from_secs(2)).unwrap();
-        assert!(sink.received_total() > honest);
-        assert_eq!(sink.corrupt_total(), 0);
+        drain(&mut parser, &mut b, SimTime::from_secs(2)).unwrap();
+        assert!(parser.received_total() > honest);
+        assert_eq!(parser.corrupt_total(), 0);
 
         // Re-sending the captured *hello* must not rewind the window.
         let hello = DataChannelHello { nonce, channel: 0 }.encode();
         src.transport_mut().send(SimTime::from_secs(2), &hello).unwrap();
         src.transport_mut().send(SimTime::from_secs(2), &replay).unwrap();
-        let before = sink.received_total();
-        sink.pump(SimTime::from_secs(2)).unwrap();
-        assert_eq!(sink.received_total(), before, "hello replay cannot reopen old sequences");
-        assert_eq!(sink.replayed_total(), 6 * u64::from(len));
+        let before = parser.received_total();
+        drain(&mut parser, &mut b, SimTime::from_secs(2)).unwrap();
+        assert_eq!(parser.received_total(), before, "hello replay cannot reopen old sequences");
+        assert_eq!(parser.replayed_total(), 6 * u64::from(len));
     }
 
     #[test]
     fn mismatched_keys_reject_everything() {
-        let (a, b) = Duplex::loopback().into_endpoints();
+        let (a, mut b) = Duplex::loopback().into_endpoints();
         let mut src = TrafficSource::new(a, 42, 0).with_key(111);
         src.set_rate_cap(1_000);
-        let mut sink = TrafficSink::new(b).with_key(222);
+        let mut parser = BlastParser::new().with_key(222);
         src.greet(SimTime::ZERO);
         src.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
-        assert_eq!(sink.received_total(), 0);
-        assert_eq!(sink.forged_total(), src.sent_total());
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).unwrap();
+        assert_eq!(parser.received_total(), 0);
+        assert_eq!(parser.forged_total(), src.sent_total());
     }
 
     #[test]
@@ -1682,10 +1522,8 @@ mod tests {
         assert_ne!(binding_nonce(secret), secret, "nonce is not the secret itself");
         assert_ne!(binding_nonce(secret), secret_channel_key(secret));
         assert_ne!(binding_nonce(1), binding_nonce(2));
-        let t1 = [1u8; crate::msg::AUTH_TOKEN_LEN];
-        let t2 = [2u8; crate::msg::AUTH_TOKEN_LEN];
-        assert_ne!(channel_key(&t1), channel_key(&t2));
-        assert_eq!(channel_key(&t1), channel_key(&t1));
+        assert_eq!(secret_channel_key(secret), secret_channel_key(secret));
+        assert_ne!(secret_channel_key(1), secret_channel_key(2));
     }
 
     #[test]
@@ -1705,18 +1543,17 @@ mod tests {
     fn rebinding_hello_switches_the_pattern_mid_stream() {
         // Session 1 blasts, then a new hello rebinds the channel to
         // session 2 — the pooled-connection reuse path.
-        let (a1, b) = Duplex::loopback().into_endpoints();
-        let mut sink = TrafficSink::new(b);
+        let (a1, mut b) = Duplex::loopback().into_endpoints();
+        let mut parser = BlastParser::new();
         let mut src1 = TrafficSource::new(a1, 111, 0);
         src1.set_rate_cap(1_000);
         src1.greet(SimTime::ZERO);
         src1.start(SimTime::ZERO);
-        sink.start(SimTime::ZERO);
         src1.pump(SimTime::from_secs(1));
-        sink.pump(SimTime::from_secs(1)).unwrap();
-        let after_first = sink.received_total();
+        drain(&mut parser, &mut b, SimTime::from_secs(1)).unwrap();
+        let after_first = parser.received_total();
         assert!(after_first > 0);
-        assert_eq!(sink.corrupt_total(), 0);
+        assert_eq!(parser.corrupt_total(), 0);
 
         // Second session reuses the same wire with a different nonce.
         let mut src2 = TrafficSource::new(src1.into_transport(), 222, 0);
@@ -1724,10 +1561,10 @@ mod tests {
         src2.greet(SimTime::from_secs(1));
         src2.start(SimTime::from_secs(1));
         src2.pump(SimTime::from_secs(2));
-        sink.pump(SimTime::from_secs(2)).unwrap();
-        assert_eq!(sink.hello(), Some(DataChannelHello { nonce: 222, channel: 0 }));
-        assert!(sink.received_total() > after_first);
-        assert_eq!(sink.corrupt_total(), 0, "new pattern verified after rebind");
+        let events = drain(&mut parser, &mut b, SimTime::from_secs(2)).unwrap();
+        assert_eq!(last_hello(&events), Some(DataChannelHello { nonce: 222, channel: 0 }));
+        assert!(parser.received_total() > after_first);
+        assert_eq!(parser.corrupt_total(), 0, "new pattern verified after rebind");
     }
 
     #[test]

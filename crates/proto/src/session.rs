@@ -331,13 +331,6 @@ impl CoordinatorSession {
         self.resume_prior
     }
 
-    /// The data-channel frame-tag key derived from this session's
-    /// pre-shared token (see [`channel_key`](crate::blast::channel_key)):
-    /// what the engine keys this peer's blast sources with.
-    pub fn channel_key(&self) -> u64 {
-        crate::blast::channel_key(&self.token)
-    }
-
     /// Opens the conversation: queues `Auth` and starts the handshake
     /// timer.
     ///
@@ -663,12 +656,6 @@ impl MeasurerSession {
     /// Seconds reported so far.
     pub fn seconds_sent(&self) -> u32 {
         self.seconds_sent
-    }
-
-    /// The data-channel frame-tag key derived from this peer's
-    /// pre-shared token (see [`channel_key`](crate::blast::channel_key)).
-    pub fn channel_key(&self) -> u64 {
-        crate::blast::channel_key(&self.expected_token)
     }
 
     /// Feeds received bytes; decoded frames advance the state machine.

@@ -10,15 +10,15 @@
 //! protocol, served by a `RelaySession`) or **data** (an echo channel
 //! opening with a `DataChannelHello`) — and serves both concurrently.
 //!
-//! Serving is **reactor-driven** (see [`reactor`] and
-//! `flashflow_procutil::reactor`): `--io-threads N` epoll shards share
-//! the listening socket via `EPOLLEXCLUSIVE` and drive every accepted
-//! connection as a state machine, so thousands of concurrent echo
-//! channels multiplex over a fixed thread budget instead of a thread
-//! per connection.
+//! Serving is **reactor-driven** on the peer scaffold the measurer
+//! shares (`flashflow_procutil::peer`): `--io-threads N` epoll shards
+//! share the listening socket via `EPOLLEXCLUSIVE` and drive every
+//! accepted connection as a state machine, so thousands of concurrent
+//! echo channels multiplex over a fixed thread budget instead of a
+//! thread per connection. This binary supplies the relay's role hooks
+//! ([`Relay`]) and its echo data connection ([`reactor`]).
 //!
-//! * Control connections run [`RelaySession`](flashflow_proto::session::RelaySession)s
-//!   (the target role of the
+//! * Control connections run [`RelaySession`]s (the target role of the
 //!   protocol) and keep running them across conversations, so a
 //!   coordinator-side connection pool reuses warm connections. Once a
 //!   `MeasureCmd` is accepted, the session's
@@ -32,8 +32,7 @@
 //!   every inbound payload byte (pattern keystream + keyed frame tag)
 //!   and loops exactly the verified bytes back. Concurrent channels
 //!   from multiple measurers aggregate into one measurement's counters.
-//! * A [`BackgroundMeter`](flashflow_proto::blast::BackgroundMeter)
-//!   simulates the relay's client traffic:
+//! * A [`BackgroundMeter`] simulates the relay's client traffic:
 //!   `--background RATE` bytes/second offered, admitted up to the
 //!   commanded allowance while a slot runs (the paper's `r`-ratio cap).
 //!   Per-second `SecondReport`s carry **both** columns: background
@@ -47,11 +46,12 @@
 //! corrupt and refuse to credit).
 //!
 //! Liveness, replay protection, `--config` files, and SIGTERM draining
-//! all match the measurer process; stdout carries `listening <addr>`
-//! and, with `--metrics-addr`, a second `metrics <addr>` line.
+//! are the shared scaffold's, so they match the measurer process;
+//! stdout carries `listening <addr>` and, with `--metrics-addr`, a
+//! second `metrics <addr>` line.
 //!
 //! **Observability**: all process logging goes through one
-//! `flashflow-obs` [`EventSink`] — human text on stderr, and with
+//! `flashflow-obs` event sink — human text on stderr, and with
 //! `--log-json FILE` the same events as JSONL (line-atomic under
 //! concurrency). `--metrics-addr ADDR` serves token-gated
 //! [`MetricsRegistry`] snapshots (echo-plane byte counters, background
@@ -70,28 +70,24 @@
 mod reactor;
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use flashflow_procutil as procutil;
-use procutil::reactor::{Reactor, ReactorConfig, ReactorObs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
+use std::time::Instant;
 
-use flashflow_obs::{fields, EventSink, MetricsRegistry, Span};
-use flashflow_proto::blast::BlastCounters;
-use flashflow_proto::msg::AUTH_TOKEN_LEN;
-use flashflow_proto::session::ReplayWindow;
+use flashflow_obs::{fields, Counter, MetricsRegistry, Span};
+use flashflow_procutil as procutil;
+use flashflow_proto::blast::{BackgroundMeter, BlastCounters};
+use flashflow_proto::msg::{MeasureSpec, AUTH_TOKEN_LEN};
+use flashflow_proto::session::{RelaySession, ReplayWindow, SessionTimeouts};
+use flashflow_proto::tcp::TcpTransport;
+use flashflow_simnet::time::SimTime;
+use procutil::peer::{PeerConfig, Role, Serving};
 
 /// Parsed configuration (command line and/or `--config` file).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Config {
-    listen: String,
-    token: [u8; AUTH_TOKEN_LEN],
-    /// See the measurer process: the built-in default token is only
-    /// acceptable on loopback.
-    token_explicit: bool,
+    /// The settings every peer process shares.
+    peer: PeerConfig,
     /// Offered client traffic in bytes/second (simulated background).
     background: u64,
     /// Adversarial: report this background figure instead of what the
@@ -99,43 +95,6 @@ struct Config {
     claim_bg: Option<u64>,
     /// Adversarial: echo keystream-violating garbage.
     corrupt_echo: bool,
-    /// Clock multiplier (a "second" is `1/speedup` wall seconds).
-    speedup: f64,
-    /// Exit after this many control conversations; `None` serves until
-    /// SIGTERM.
-    sessions: Option<u64>,
-    /// Reactor shard (event-loop thread) count.
-    io_threads: usize,
-    /// Mirror the structured event stream to this file as JSONL.
-    log_json: Option<String>,
-    /// Serve token-gated metric snapshots on this TCP address.
-    metrics_addr: Option<String>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            listen: "127.0.0.1:0".to_string(),
-            token: [0x42; AUTH_TOKEN_LEN],
-            token_explicit: false,
-            background: 0,
-            claim_bg: None,
-            corrupt_echo: false,
-            speedup: 1.0,
-            sessions: None,
-            io_threads: 4,
-            log_json: None,
-            metrics_addr: None,
-        }
-    }
-}
-
-impl Config {
-    /// The identification window for fresh connections (shared
-    /// scaffolding, scaled by `--speedup`).
-    fn hello_window(&self) -> Duration {
-        procutil::hello_window(self.speedup)
-    }
 }
 
 const USAGE: &str = "usage: flashflow-relay [--config FILE] [--listen ADDR] \
@@ -145,32 +104,15 @@ const USAGE: &str = "usage: flashflow-relay [--config FILE] [--listen ADDR] \
 
 /// Applies one `key=value` setting (shared by CLI and config file).
 fn apply(cfg: &mut Config, key: &str, value: &str) -> Result<(), String> {
+    if cfg.peer.apply(key, value)? {
+        return Ok(());
+    }
     match key {
-        "listen" => cfg.listen = value.to_string(),
-        "token-hex" => {
-            cfg.token = procutil::parse_token_hex(value)?;
-            cfg.token_explicit = true;
-        }
         "background" => cfg.background = value.parse().map_err(|e| format!("background: {e}"))?,
         "claim-bg" => cfg.claim_bg = Some(value.parse().map_err(|e| format!("claim-bg: {e}"))?),
         "corrupt-echo" => {
             cfg.corrupt_echo = value.parse().map_err(|e| format!("corrupt-echo: {e}"))?
         }
-        "speedup" => {
-            cfg.speedup = value.parse().map_err(|e| format!("speedup: {e}"))?;
-            if !(cfg.speedup.is_finite() && cfg.speedup > 0.0) {
-                return Err("speedup must be positive and finite".to_string());
-            }
-        }
-        "sessions" => cfg.sessions = Some(value.parse().map_err(|e| format!("sessions: {e}"))?),
-        "io-threads" => {
-            cfg.io_threads = value.parse().map_err(|e| format!("io-threads: {e}"))?;
-            if cfg.io_threads == 0 {
-                return Err("io-threads must be at least 1".to_string());
-            }
-        }
-        "log-json" => cfg.log_json = Some(value.to_string()),
-        "metrics-addr" => cfg.metrics_addr = Some(value.to_string()),
         other => return Err(format!("unknown setting {other:?}\n{USAGE}")),
     }
     Ok(())
@@ -232,30 +174,136 @@ impl EchoPlane {
     }
 }
 
-/// Everything the serving threads share.
-struct Shared {
-    cfg: Config,
-    replay: Mutex<ReplayWindow>,
+/// The relay role: its settings, the echo plane, and the
+/// `--metrics-addr` counters.
+struct Relay {
+    background: u64,
+    claim_bg: Option<u64>,
+    corrupt_echo: bool,
     echo: EchoPlane,
-    draining: AtomicBool,
-    sessions_done: AtomicU64,
-    /// Root span of the process's structured event stream.
-    span: Span,
     /// Process-global echo-plane byte counters: every echo channel's
-    /// verifying parser feeds these (the `--metrics-addr` snapshot).
+    /// verifying parser feeds these.
     blast: BlastCounters,
-    echoed_bytes: flashflow_obs::Counter,
-    bg_admitted: flashflow_obs::Counter,
-    bg_reported: flashflow_obs::Counter,
-    seconds_reported: flashflow_obs::Counter,
-    /// Conversations re-adopted via the `Resume` handshake (a restarted
-    /// coordinator picking its parked sessions back up).
-    resumed: flashflow_obs::Counter,
+    echoed_bytes: Counter,
+    bg_admitted: Counter,
+    bg_reported: Counter,
+    seconds_reported: Counter,
 }
 
-impl Shared {
-    fn quota_reached(&self) -> bool {
-        self.cfg.sessions.is_some_and(|n| self.sessions_done.load(Ordering::SeqCst) >= n)
+/// One conversation's relay state: the measurement it registered and
+/// the background meter of its slot.
+struct RelayConversation {
+    registered_binding: Option<u64>,
+    counters: Option<Arc<EchoCounters>>,
+    meter: BackgroundMeter,
+    echoed_through: u64,
+    bg_through: u64,
+}
+
+impl Role for Relay {
+    type Session = RelaySession;
+    type Conversation = RelayConversation;
+    type Data = reactor::EchoConn;
+
+    fn session(
+        &self,
+        token: [u8; AUTH_TOKEN_LEN],
+        session_id: u64,
+        window: ReplayWindow,
+    ) -> RelaySession {
+        RelaySession::new(token, session_id, SessionTimeouts::default()).with_replay_window(window)
+    }
+
+    fn conversation(&self) -> RelayConversation {
+        RelayConversation {
+            registered_binding: None,
+            counters: None,
+            meter: BackgroundMeter::new(self.background),
+            echoed_through: 0,
+            bg_through: 0,
+        }
+    }
+
+    /// Registers the commanded measurement with the echo plane the
+    /// moment the command is accepted — `Ready` goes back on this same
+    /// step, so the echo dials that follow `Go` always find it.
+    fn on_session(&self, conv: &mut RelayConversation, session: &RelaySession, span: &Span) {
+        if conv.registered_binding.is_some() {
+            return;
+        }
+        if let Some(binding) = session.echo_binding() {
+            conv.counters = Some(self.echo.register(
+                binding.binding_nonce,
+                binding.channel_key,
+                binding.trace_id,
+            ));
+            conv.registered_binding = Some(binding.binding_nonce);
+            conv.meter.set_cap(binding.background_allowance);
+            span.emit(
+                "session.registered",
+                fields![
+                    nonce = binding.binding_nonce,
+                    bg_allowance = binding.background_allowance,
+                ],
+            );
+        }
+    }
+
+    fn start(&self, conv: &mut RelayConversation, _spec: &MeasureSpec, snow: SimTime, span: &Span) {
+        conv.meter.start(snow);
+        span.emit("session.go", fields![bg_rate = conv.meter.admitted_rate()]);
+    }
+
+    fn stop(&self, conv: &mut RelayConversation, _snow: SimTime, reported: u32, span: &Span) {
+        let ch = conv.counters.as_ref().map_or(0, |c| c.channels.load(Ordering::Relaxed));
+        span.emit("session.stop", fields![seconds = reported, channels = ch]);
+    }
+
+    fn pump(&self, conv: &mut RelayConversation, snow: SimTime, _terminal: bool, _span: &Span) {
+        conv.meter.tick(snow);
+    }
+
+    fn report(&self, conv: &mut RelayConversation, second: u32, span: &Span) -> (u64, u64) {
+        let echoed = conv.counters.as_ref().map_or(0, |c| c.echoed.load(Ordering::Relaxed));
+        let echo_delta = echoed - conv.echoed_through;
+        conv.echoed_through = echoed;
+        let admitted = conv.meter.admitted_total();
+        let metered = admitted - conv.bg_through;
+        conv.bg_through = admitted;
+        let bg = match self.claim_bg {
+            // The liar: a fixed per-second claim, regardless of what the
+            // meter admitted. The lie leaves a trail: both figures go
+            // into the event stream, which is what the audit tests
+            // cross-check against the coordinator's ledger flags.
+            Some(claim) => {
+                span.emit(
+                    "bg.divergence",
+                    fields![second = second, claimed = claim, metered = metered,],
+                );
+                claim
+            }
+            None => metered,
+        };
+        self.bg_admitted.add(metered);
+        self.bg_reported.add(bg);
+        self.seconds_reported.inc();
+        (bg, echo_delta)
+    }
+
+    fn finish(&self, conv: &mut RelayConversation) {
+        if let Some(nonce) = conv.registered_binding.take() {
+            self.echo.release(nonce);
+        }
+    }
+
+    fn open_data(
+        shared: &Arc<Serving<Relay>>,
+        conn_id: u64,
+        transport: TcpTransport,
+        preread: Vec<u8>,
+        deadline: Instant,
+    ) -> Option<reactor::EchoConn> {
+        Some(reactor::EchoConn::bind(shared, conn_id, transport, preread, deadline))
     }
 }
 
@@ -267,82 +315,18 @@ fn main() {
             std::process::exit(2);
         }
     };
-    procutil::install_sigterm_handler();
-    // SO_REUSEADDR: a replacement relay must re-take its configured
-    // port while the killed incarnation's connections sit in TIME_WAIT.
-    let listener = match procutil::listen_reuseaddr(&*cfg.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bind {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("query bound address for {}: {e}", cfg.listen);
-            std::process::exit(1);
-        }
-    };
-    if !addr.ip().is_loopback() && !cfg.token_explicit {
-        eprintln!(
-            "refusing to serve {addr} with the built-in default token; \
-             pass --token-hex with a real pre-shared secret"
-        );
-        std::process::exit(2);
-    }
-    let mut sink = EventSink::new().with_stderr_text();
-    if let Some(path) = &cfg.log_json {
-        // Opened with the shared journal discipline (O_APPEND, one
-        // write per line): a crash tears at most the final line.
-        sink = match procutil::journal_writer(std::path::Path::new(path)) {
-            Ok(file) => sink.with_jsonl(Box::new(file)),
-            Err(e) => {
-                eprintln!("open --log-json {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-    }
-    let span = Span::root(sink);
-    let registry = MetricsRegistry::new();
-    let mut metrics_line = None;
-    if let Some(maddr) = &cfg.metrics_addr {
-        match procutil::start_metrics_endpoint(maddr, cfg.token, registry.clone(), cfg.speedup) {
-            Ok(bound) => metrics_line = Some(format!("metrics {bound}")),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // A failed flush means whoever spawned us cannot learn the bound
-    // address — serving anyway would wedge the parent, so exit instead.
-    println!("listening {addr}");
-    if let Some(line) = metrics_line {
-        println!("{line}");
-    }
-    if let Err(e) = std::io::stdout().flush() {
-        eprintln!("flush advertised endpoints to stdout: {e}");
-        std::process::exit(1);
-    }
-    span.emit(
-        "relay.start",
-        fields![
-            background = cfg.background,
-            claim_bg = cfg.claim_bg.unwrap_or(0),
-            lying = cfg.claim_bg.is_some(),
-            corrupt_echo = cfg.corrupt_echo,
-            speedup = cfg.speedup,
-        ],
-    );
-
-    let shared = Arc::new(Shared {
-        cfg,
-        replay: Mutex::new(ReplayWindow::default()),
+    let start = fields![
+        background = cfg.background,
+        claim_bg = cfg.claim_bg.unwrap_or(0),
+        lying = cfg.claim_bg.is_some(),
+        corrupt_echo = cfg.corrupt_echo,
+        speedup = cfg.peer.speedup,
+    ];
+    procutil::peer::run(cfg.peer, "relay", start, |registry: &MetricsRegistry| Relay {
+        background: cfg.background,
+        claim_bg: cfg.claim_bg,
+        corrupt_echo: cfg.corrupt_echo,
         echo: EchoPlane::default(),
-        draining: AtomicBool::new(false),
-        sessions_done: AtomicU64::new(0),
-        span,
         blast: BlastCounters {
             verified: registry.counter("relay.echo.verified_bytes"),
             corrupt: registry.counter("relay.echo.corrupt_bytes"),
@@ -353,42 +337,5 @@ fn main() {
         bg_admitted: registry.counter("relay.bg.admitted_bytes"),
         bg_reported: registry.counter("relay.bg.reported_bytes"),
         seconds_reported: registry.counter("relay.reported_seconds"),
-        resumed: registry.counter("relay.sessions_resumed"),
     });
-    // The reactor owns the listener from here: `--io-threads` epoll
-    // shards accept (EPOLLEXCLUSIVE) and drive every connection as a
-    // state machine; this thread only supervises drain and quota.
-    let reactor = match Reactor::serve_observed(
-        Some(listener),
-        ReactorConfig { shards: shared.cfg.io_threads, tick: Duration::from_millis(1) },
-        reactor::accept_factory(Arc::clone(&shared)),
-        Some(ReactorObs {
-            registry: registry.clone(),
-            prefix: "relay.reactor".to_string(),
-            span: shared.span.clone(),
-            stall_budget: Duration::from_millis(20),
-        }),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.span.emit("relay.fatal", fields![error = format!("start reactor: {e}")]);
-            std::process::exit(1);
-        }
-    };
-    loop {
-        if procutil::drain_requested() {
-            shared.span.event("relay.drain");
-            break;
-        }
-        if shared.quota_reached() {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    shared.draining.store(true, Ordering::SeqCst);
-    reactor.stop();
-    if let Err(e) = reactor.join() {
-        shared.span.emit("relay.fatal", fields![error = e]);
-    }
-    shared.span.emit("relay.exit", fields![sessions = shared.sessions_done.load(Ordering::SeqCst)]);
 }

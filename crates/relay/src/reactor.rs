@@ -1,491 +1,125 @@
-//! The relay's reactor-driven serving layer: every accepted connection
-//! becomes one [`RelayConn`] state machine driven by a shard of the
-//! shared [`procutil::reactor`] event loop, replacing the
-//! thread-per-connection dispatch the process started with.
-//!
-//! A connection moves through at most four states: **Classify** (await
-//! the first bytes, exactly the old `await_first_bytes` window),
-//! **Bind** (a data dial accumulating its hello and waiting for its
-//! nonce to be registered), then either **Control** (the warm-reuse
-//! conversation loop around a [`RelaySession`]) or **Data** (an
-//! [`Echoer`] verifying and looping the blast back). The serving
-//! *logic* is the thread-based code's loop bodies verbatim — one loop
-//! iteration per readiness event or shard tick instead of per 1ms
-//! sleep — so the protocol behavior, event stream, and accounting are
-//! unchanged while thousands of channels share a handful of threads.
+//! The relay's echo data connection on the shared peer scaffold
+//! (`flashflow_procutil::peer`): a connection that opened with a data
+//! hello moves through **Bind** (accumulate the hello, wait for its
+//! nonce to be registered) and then **Echo** (an [`Echoer`] verifying
+//! and looping the blast back), driven by a shard of the reactor — one
+//! loop iteration per readiness event or shard tick.
 
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flashflow_obs::{fields, Span};
-use flashflow_procutil as procutil;
-use flashflow_proto::blast::{
-    BackgroundMeter, DataChannelHello, Echoer, DATA_HELLO_TAG, HELLO_LEN,
-};
-use flashflow_proto::endpoint::Endpoint;
-use flashflow_proto::msg::AbortReason;
-use flashflow_proto::session::{
-    MeasurerAction, MeasurerPhase, RelaySession, SessionState as _, SessionTimeouts,
-};
+use flashflow_procutil::peer::{self, Serving, Why};
+use flashflow_procutil::reactor::Step;
+use flashflow_proto::blast::{DataChannelHello, Echoer, HELLO_LEN};
 use flashflow_proto::tcp::TcpTransport;
-use flashflow_proto::transport::{LeasedTransport, Transport};
+use flashflow_proto::transport::Transport;
 use flashflow_simnet::time::SimTime;
-use procutil::reactor::{Driven, Step};
 
-use crate::{EchoCounters, Measurement, Shared};
+use crate::{EchoCounters, Measurement, Relay};
 
-/// Builds the reactor's accept callback: admission control (drain,
-/// session quota), the `conn.accept` event, and a fresh [`RelayConn`]
-/// in its classify window.
-pub fn accept_factory(shared: Arc<Shared>) -> Arc<procutil::reactor::AcceptFn> {
-    let conn_ids = AtomicU64::new(0);
-    Arc::new(move |stream: TcpStream, peer: SocketAddr| {
-        if shared.draining.load(Ordering::SeqCst) || shared.quota_reached() {
-            return None;
-        }
-        let transport = TcpTransport::from_stream(stream).ok()?;
-        let conn_id = conn_ids.fetch_add(1, Ordering::SeqCst);
-        shared.span.channel(conn_id).emit("conn.accept", fields![peer = format!("{peer}")]);
-        let deadline = Instant::now() + shared.cfg.hello_window();
-        Some(Box::new(RelayConn {
-            shared: Arc::clone(&shared),
-            conn_id,
-            fd: transport.raw_fd(),
-            state: State::Classify { transport, buf: Vec::new(), deadline },
-        }) as Box<dyn Driven>)
-    })
-}
-
-/// Why the shard called into the connection.
-#[derive(Clone, Copy)]
-enum Why {
-    Ready,
-    Tick,
-}
-
-/// One reactor-driven relay connection.
-pub struct RelayConn {
-    shared: Arc<Shared>,
-    conn_id: u64,
-    /// Cached at accept: [`Driven::fd`] must stay stable across state
-    /// transitions that move the transport between owners.
-    fd: i32,
-    state: State,
-}
-
-enum State {
-    /// Awaiting the first bytes that classify the connection.
-    Classify {
-        transport: TcpTransport,
-        buf: Vec<u8>,
-        deadline: Instant,
-    },
-    /// A data dial: accumulate the hello, wait for its nonce.
+/// One data connection: binding, then echoing.
+pub enum EchoConn {
+    /// Accumulating the hello and waiting for its nonce.
     Bind {
+        shared: Arc<Serving<Relay>>,
+        conn_id: u64,
         transport: TcpTransport,
         buf: Vec<u8>,
         deadline: Instant,
     },
-    Control(Box<ControlConn>),
-    Data(Box<DataConn>),
+    Echo(Box<DataConn>),
     Gone,
 }
 
-/// Whether a state handler settled or wants an immediate follow-up
-/// (classification should not wait a tick to start the handshake).
-enum Flow {
-    Settle(Step),
-    Again,
+impl EchoConn {
+    /// A connection classified as data, holding its first bytes.
+    pub fn bind(
+        shared: &Arc<Serving<Relay>>,
+        conn_id: u64,
+        transport: TcpTransport,
+        buf: Vec<u8>,
+        deadline: Instant,
+    ) -> EchoConn {
+        EchoConn::Bind { shared: Arc::clone(shared), conn_id, transport, buf, deadline }
+    }
 }
 
-impl Driven for RelayConn {
-    fn fd(&self) -> i32 {
-        self.fd
-    }
-
-    fn on_ready(&mut self) -> Step {
-        self.drive(Why::Ready)
-    }
-
-    fn on_tick(&mut self) -> Step {
-        self.drive(Why::Tick)
+impl peer::DataConn for EchoConn {
+    fn step(&mut self, why: Why) -> Step {
+        match std::mem::replace(self, EchoConn::Gone) {
+            EchoConn::Bind { shared, conn_id, transport, buf, deadline } => {
+                let (next, step) = bind(why, shared, conn_id, transport, buf, deadline);
+                *self = next;
+                step
+            }
+            EchoConn::Echo(mut d) => {
+                let step = match why {
+                    Why::Ready => d.step_ready(),
+                    Why::Tick => d.step_tick(),
+                };
+                if step == Step::Continue {
+                    *self = EchoConn::Echo(d);
+                }
+                step
+            }
+            EchoConn::Gone => Step::Done,
+        }
     }
 
     fn wants_write(&self) -> bool {
-        match &self.state {
-            State::Control(c) => c.backlog,
-            State::Data(d) => d.backlog,
-            State::Classify { .. } | State::Bind { .. } | State::Gone => false,
+        match self {
+            EchoConn::Echo(d) => d.backlog,
+            EchoConn::Bind { .. } | EchoConn::Gone => false,
         }
     }
 }
 
-impl RelayConn {
-    fn drive(&mut self, why: Why) -> Step {
-        loop {
-            let state = std::mem::replace(&mut self.state, State::Gone);
-            let (next, flow) = match state {
-                State::Classify { transport, buf, deadline } => {
-                    self.classify(why, transport, buf, deadline)
-                }
-                State::Bind { transport, buf, deadline } => {
-                    self.bind(why, transport, buf, deadline)
-                }
-                State::Control(mut c) => {
-                    let step = c.step();
-                    let next = if step == Step::Done { State::Gone } else { State::Control(c) };
-                    (next, Flow::Settle(step))
-                }
-                State::Data(mut d) => {
-                    let step = match why {
-                        Why::Ready => d.step_ready(),
-                        Why::Tick => d.step_tick(),
-                    };
-                    let next = if step == Step::Done { State::Gone } else { State::Data(d) };
-                    (next, Flow::Settle(step))
-                }
-                State::Gone => (State::Gone, Flow::Settle(Step::Done)),
-            };
-            self.state = next;
-            match flow {
-                Flow::Again => {}
-                Flow::Settle(step) => return step,
-            }
-        }
-    }
-
-    /// The old `await_first_bytes`: read until the first bytes arrive,
-    /// drop silent/dead dials at the hello window (or on drain).
-    fn classify(
-        &mut self,
-        why: Why,
-        mut transport: TcpTransport,
-        mut buf: Vec<u8>,
-        deadline: Instant,
-    ) -> (State, Flow) {
-        if matches!(why, Why::Ready) {
-            match transport.recv(SimTime::ZERO) {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => {
-                    self.shared.span.channel(self.conn_id).event("conn.silent");
-                    return (State::Gone, Flow::Settle(Step::Done));
-                }
-            }
-        }
-        if !buf.is_empty() {
-            if buf[0] == DATA_HELLO_TAG {
-                return (State::Bind { transport, buf, deadline }, Flow::Again);
-            }
-            let control = ControlConn::new(&self.shared, self.conn_id, transport, buf);
-            return (State::Control(Box::new(control)), Flow::Again);
-        }
-        if Instant::now() >= deadline || self.shared.draining.load(Ordering::SeqCst) {
-            self.shared.span.channel(self.conn_id).event("conn.silent");
-            return (State::Gone, Flow::Settle(Step::Done));
-        }
-        (State::Classify { transport, buf, deadline }, Flow::Settle(Step::Continue))
-    }
-
-    /// The old `serve_data` preamble: accumulate the hello, then wait
-    /// out the window for the nonce to appear in the echo plane (the
-    /// command may land microseconds after the dial).
-    fn bind(
-        &mut self,
-        why: Why,
-        mut transport: TcpTransport,
-        mut buf: Vec<u8>,
-        deadline: Instant,
-    ) -> (State, Flow) {
-        if matches!(why, Why::Ready) && buf.len() < HELLO_LEN {
-            match transport.recv(SimTime::ZERO) {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => return (State::Gone, Flow::Settle(Step::Done)),
-            }
-        }
-        let span = self.shared.span.channel(self.conn_id);
-        if buf.len() < HELLO_LEN {
-            if Instant::now() >= deadline {
-                span.event("channel.no_hello");
-                return (State::Gone, Flow::Settle(Step::Done));
-            }
-            return (State::Bind { transport, buf, deadline }, Flow::Settle(Step::Continue));
-        }
-        let mut raw = [0u8; HELLO_LEN];
-        raw.copy_from_slice(&buf[..HELLO_LEN]);
-        let hello = match DataChannelHello::decode(&raw) {
-            Ok(h) => h,
-            Err(e) => {
-                span.emit("channel.bad_hello", fields![error = format!("{e}")]);
-                return (State::Gone, Flow::Settle(Step::Done));
-            }
-        };
-        match self.shared.echo.lookup(hello.nonce) {
-            Some(m) => match DataConn::bind(&self.shared, span, transport, &buf, &m) {
-                Some(d) => (State::Data(Box::new(d)), Flow::Settle(Step::Continue)),
-                None => (State::Gone, Flow::Settle(Step::Done)),
-            },
-            None if Instant::now() >= deadline => {
-                span.emit("channel.unknown_nonce", fields![nonce = hello.nonce]);
-                (State::Gone, Flow::Settle(Step::Done))
-            }
-            None => (State::Bind { transport, buf, deadline }, Flow::Settle(Step::Continue)),
-        }
-    }
-}
-
-/// The old `serve_control`/`serve_one` pair as a state machine: one
-/// control connection serving conversations back to back on a leased
-/// transport, so a coordinator-side pool reuses warm connections.
-struct ControlConn {
-    shared: Arc<Shared>,
+/// Accumulates the hello, then waits out the window for the nonce to
+/// appear in the echo plane (the command may land microseconds after
+/// the dial).
+fn bind(
+    why: Why,
+    shared: Arc<Serving<Relay>>,
     conn_id: u64,
-    conversation: u64,
-    endpoint: Option<Endpoint<RelaySession, LeasedTransport<TcpTransport>>>,
-    span: Span,
-    t0: Instant,
-    report_every: Duration,
-    slot: Option<u32>,
-    started_at: Instant,
-    reported: u32,
-    claimed_nonce: Option<u64>,
-    registered_binding: Option<u64>,
-    counters: Option<Arc<EchoCounters>>,
-    meter: BackgroundMeter,
-    echoed_through: u64,
-    bg_through: u64,
-    /// Terminal sessions get three flush steps before the conversation
-    /// ends (the thread code's 3×1ms pump-and-sleep tail).
-    terminal_flushes: u8,
-    /// Unflushed outbound bytes at the end of the last step; the shard
-    /// re-arms the socket for write readiness while this holds.
-    backlog: bool,
-}
-
-impl ControlConn {
-    fn new(
-        shared: &Arc<Shared>,
-        conn_id: u64,
-        transport: TcpTransport,
-        preread: Vec<u8>,
-    ) -> ControlConn {
-        let mut conn = ControlConn {
-            shared: Arc::clone(shared),
-            conn_id,
-            conversation: 0,
-            endpoint: None,
-            span: shared.span.session(conn_id * 1_000),
-            t0: Instant::now(),
-            report_every: Duration::from_secs_f64(1.0 / shared.cfg.speedup),
-            slot: None,
-            started_at: Instant::now(),
-            reported: 0,
-            claimed_nonce: None,
-            registered_binding: None,
-            counters: None,
-            meter: BackgroundMeter::new(shared.cfg.background),
-            echoed_through: 0,
-            bg_through: 0,
-            terminal_flushes: 0,
-            backlog: false,
-        };
-        conn.start_conversation(LeasedTransport::new(transport), Some(preread));
-        conn
+    mut transport: TcpTransport,
+    mut buf: Vec<u8>,
+    deadline: Instant,
+) -> (EchoConn, Step) {
+    if why == Why::Ready && buf.len() < HELLO_LEN {
+        match transport.recv(SimTime::ZERO) {
+            Ok(bytes) => buf.extend_from_slice(&bytes),
+            Err(_) => return (EchoConn::Gone, Step::Done),
+        }
     }
-
-    /// Begins the next conversation on the (possibly warm) transport.
-    fn start_conversation(
-        &mut self,
-        mut leased: LeasedTransport<TcpTransport>,
-        preread: Option<Vec<u8>>,
-    ) {
-        leased.reset_close();
-        let session_id = self.conn_id * 1_000 + self.conversation;
-        self.conversation += 1;
-        self.span = self.shared.span.session(session_id);
-        let window = procutil::lock_recover(&self.shared.replay).clone();
-        let session =
-            RelaySession::new(self.shared.cfg.token, session_id, SessionTimeouts::default())
-                .with_replay_window(window);
-        let mut endpoint = Endpoint::new(session, leased);
-        self.t0 = Instant::now();
-        if let Some(bytes) = preread {
-            endpoint.session_mut().receive(SimTime::ZERO, &bytes);
+    let span = shared.span.channel(conn_id);
+    if buf.len() < HELLO_LEN {
+        if Instant::now() >= deadline {
+            span.event("channel.no_hello");
+            return (EchoConn::Gone, Step::Done);
         }
-        self.slot = None;
-        self.started_at = Instant::now();
-        self.reported = 0;
-        self.claimed_nonce = None;
-        self.registered_binding = None;
-        self.counters = None;
-        self.meter = BackgroundMeter::new(self.shared.cfg.background);
-        self.echoed_through = 0;
-        self.bg_through = 0;
-        self.terminal_flushes = 0;
-        self.endpoint = Some(endpoint);
+        return (EchoConn::Bind { shared, conn_id, transport, buf, deadline }, Step::Continue);
     }
-
-    /// One iteration of the old `serve_one` loop body.
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self) -> Step {
-        let cfg = &self.shared.cfg;
-        let Some(endpoint) = self.endpoint.as_mut() else {
-            return Step::Done;
-        };
-        let now = SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64());
-        let snow = SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64() * cfg.speedup);
-        endpoint.pump(now);
-        endpoint.tick(now);
-        // Claim the accepted Auth nonce in the process-wide replay
-        // window (concurrent-replay arbitration, as in the measurer).
-        if self.claimed_nonce.is_none() {
-            if let Some(nonce) = endpoint.session().accepted_nonce() {
-                self.claimed_nonce = Some(nonce);
-                if !procutil::lock_recover(&self.shared.replay).witness(nonce) {
-                    self.span.event("session.replay_drop");
-                    endpoint.session_mut().abort(AbortReason::AuthFailed);
-                } else if endpoint.session().resumed() {
-                    self.shared.resumed.inc();
-                    // A resumed conversation learns its trace id from
-                    // the Resume opener itself, before the re-sent
-                    // MeasureCmd arrives.
-                    if let Some(trace) = endpoint.session().resume_trace_id().filter(|&t| t != 0) {
-                        self.span = self.span.trace(trace);
-                    }
-                    self.span.emit("session.resumed", fields![nonce = nonce]);
-                }
-            }
+    let mut raw = [0u8; HELLO_LEN];
+    raw.copy_from_slice(&buf[..HELLO_LEN]);
+    let hello = match DataChannelHello::decode(&raw) {
+        Ok(h) => h,
+        Err(e) => {
+            span.emit("channel.bad_hello", fields![error = format!("{e}")]);
+            return (EchoConn::Gone, Step::Done);
         }
-        // Register the commanded measurement with the data plane the
-        // moment the command is accepted — Ready goes back on this same
-        // step, so the echo dials that follow Go always find it.
-        if self.registered_binding.is_none() {
-            if let Some(binding) = endpoint.session().echo_binding() {
-                self.counters = Some(self.shared.echo.register(
-                    binding.binding_nonce,
-                    binding.channel_key,
-                    binding.trace_id,
-                ));
-                self.registered_binding = Some(binding.binding_nonce);
-                self.meter.set_cap(binding.background_allowance);
-                self.span.emit(
-                    "session.registered",
-                    fields![
-                        nonce = binding.binding_nonce,
-                        bg_allowance = binding.background_allowance,
-                    ],
-                );
-            }
+    };
+    match shared.role.echo.lookup(hello.nonce) {
+        Some(m) => match DataConn::bind(&shared, span, transport, &buf, &m) {
+            Some(d) => (EchoConn::Echo(Box::new(d)), Step::Continue),
+            None => (EchoConn::Gone, Step::Done),
+        },
+        None if Instant::now() >= deadline => {
+            span.emit("channel.unknown_nonce", fields![nonce = hello.nonce]);
+            (EchoConn::Gone, Step::Done)
         }
-        if self.shared.draining.load(Ordering::SeqCst)
-            && matches!(
-                endpoint.session().phase(),
-                MeasurerPhase::AwaitAuth | MeasurerPhase::AwaitCmd | MeasurerPhase::AwaitGo
-            )
-        {
-            endpoint.session_mut().abort(AbortReason::Shutdown);
-        }
-        while let Some(action) = endpoint.session_mut().poll_action() {
-            match action {
-                MeasurerAction::Prepare { spec } => {
-                    // Every event from here on carries the coordinator's
-                    // trace id for this item-attempt.
-                    if spec.trace_id != 0 {
-                        self.span = self.span.trace(spec.trace_id);
-                    }
-                    self.span.emit(
-                        "session.prepare",
-                        fields![
-                            fp = format!("{:02x}{:02x}", spec.relay_fp[0], spec.relay_fp[1]),
-                            slot_secs = spec.slot_secs,
-                        ],
-                    );
-                }
-                MeasurerAction::Start { spec } => {
-                    self.slot = Some(spec.slot_secs);
-                    self.started_at = Instant::now();
-                    self.echoed_through = 0;
-                    self.bg_through = 0;
-                    self.meter.start(snow);
-                    self.span.emit("session.go", fields![bg_rate = self.meter.admitted_rate()]);
-                }
-                MeasurerAction::Stop => {
-                    let ch =
-                        self.counters.as_ref().map_or(0, |c| c.channels.load(Ordering::Relaxed));
-                    self.span.emit("session.stop", fields![seconds = self.reported, channels = ch]);
-                }
-            }
-        }
-        self.meter.tick(snow);
-        if let Some(slot_secs) = self.slot {
-            while self.reported < slot_secs
-                && !endpoint.is_terminal()
-                && self.started_at.elapsed() >= self.report_every * (self.reported + 1)
-            {
-                let echoed = self.counters.as_ref().map_or(0, |c| c.echoed.load(Ordering::Relaxed));
-                let echo_delta = echoed - self.echoed_through;
-                self.echoed_through = echoed;
-                let admitted = self.meter.admitted_total();
-                let metered = admitted - self.bg_through;
-                self.bg_through = admitted;
-                let bg = match cfg.claim_bg {
-                    // The liar: a fixed per-second claim, regardless of
-                    // what the meter admitted. The lie leaves a trail:
-                    // both figures go into the event stream, which is
-                    // what the audit tests cross-check against the
-                    // coordinator's ledger flags.
-                    Some(claim) => {
-                        self.span.emit(
-                            "bg.divergence",
-                            fields![second = self.reported, claimed = claim, metered = metered,],
-                        );
-                        claim
-                    }
-                    None => metered,
-                };
-                self.shared.bg_admitted.add(metered);
-                self.shared.bg_reported.add(bg);
-                self.shared.seconds_reported.inc();
-                endpoint.session_mut().report_second(bg, echo_delta);
-                self.reported += 1;
-            }
-        }
-        if endpoint.is_terminal() {
-            endpoint.pump(SimTime::from_secs_f64(self.t0.elapsed().as_secs_f64()));
-            self.terminal_flushes += 1;
-            if self.terminal_flushes >= 3 {
-                return self.finish_conversation();
-            }
-        }
-        let backlog = endpoint.transport_mut().inner_mut().pending_send_bytes() > 0;
-        self.backlog = backlog;
-        Step::Continue
-    }
-
-    /// Ends the current conversation: release the measurement, count
-    /// the session, and either start the next conversation on the warm
-    /// transport or finish the connection.
-    fn finish_conversation(&mut self) -> Step {
-        let Some(endpoint) = self.endpoint.take() else {
-            return Step::Done;
-        };
-        let reusable = endpoint.session().phase() == MeasurerPhase::Done
-            && endpoint.transport_error().is_none();
-        let authed = self.claimed_nonce.is_some();
-        let (_session, leased) = endpoint.into_parts();
-        if let Some(nonce) = self.registered_binding.take() {
-            self.shared.echo.release(nonce);
-        }
-        if authed {
-            self.shared.sessions_done.fetch_add(1, Ordering::SeqCst);
-        }
-        if !reusable || self.shared.draining.load(Ordering::SeqCst) || self.shared.quota_reached() {
-            return Step::Done;
-        }
-        self.start_conversation(leased, None);
-        self.backlog = false;
-        Step::Continue
+        None => (EchoConn::Bind { shared, conn_id, transport, buf, deadline }, Step::Continue),
     }
 }
 
@@ -494,11 +128,10 @@ impl ControlConn {
 /// (level-triggered polling re-delivers whatever remains).
 const PUMP_ROUNDS: u32 = 8;
 
-/// The old `serve_data` echo loop as a state machine: one bound echo
-/// channel, pumped on socket readiness, publishing counter deltas into
-/// its measurement's aggregate.
-struct DataConn {
-    shared: Arc<Shared>,
+/// One bound echo channel, pumped on socket readiness, publishing
+/// counter deltas into its measurement's aggregate.
+pub struct DataConn {
+    shared: Arc<Serving<Relay>>,
     span: Span,
     echoer: Echoer<TcpTransport>,
     counters: Arc<EchoCounters>,
@@ -515,7 +148,7 @@ impl DataConn {
     /// Binds a decoded hello to its registered measurement and feeds
     /// the pre-read bytes (hello + whatever blast followed it).
     fn bind(
-        shared: &Arc<Shared>,
+        shared: &Arc<Serving<Relay>>,
         span: Span,
         transport: TcpTransport,
         preread: &[u8],
@@ -529,8 +162,8 @@ impl DataConn {
         span.emit("channel.bound", fields![channels = counters.channels.load(Ordering::Relaxed)]);
         let mut echoer = Echoer::new(transport)
             .with_key(measurement.key)
-            .with_counters(shared.blast.clone(), shared.echoed_bytes.clone());
-        echoer.set_corrupt_echo(shared.cfg.corrupt_echo);
+            .with_counters(shared.role.blast.clone(), shared.role.echoed_bytes.clone());
+        echoer.set_corrupt_echo(shared.role.corrupt_echo);
         let t0 = Instant::now();
         let now = SimTime::from_secs_f64(t0.elapsed().as_secs_f64() * shared.cfg.speedup);
         echoer.start(now);
@@ -584,9 +217,7 @@ impl DataConn {
         if self.backlog {
             return self.step_ready();
         }
-        if self.shared.draining.load(Ordering::SeqCst)
-            && self.last_activity.elapsed() > Duration::from_millis(500)
-        {
+        if self.shared.draining() && self.last_activity.elapsed() > Duration::from_millis(500) {
             return self.close();
         }
         Step::Continue

@@ -14,7 +14,8 @@
 //! sanctioned offline dependency set has no cipher crate, and the
 //! reproduction needs structural properties (commutativity, determinism,
 //! unpredictability-without-key *within the simulation*) rather than
-//! real-world confidentiality. DESIGN.md §1 records this substitution.
+//! real-world confidentiality; a deployment would swap in real onion
+//! cryptography behind the same functions.
 
 /// The Mersenne prime 2^61 - 1: modulus of the handshake group.
 pub const DH_MODULUS: u64 = (1 << 61) - 1;
